@@ -118,26 +118,6 @@ func BenchmarkAblationLRUBank(b *testing.B) {
 	b.ReportMetric(float64(len(addrs)), "refs/op")
 }
 
-// BenchmarkAblationLRUBankParallel is the same sweep through the sharded
-// ParallelBank (bit-identical counts, proven in the equivalence suite),
-// at one shard and at NumCPU shards.
-func BenchmarkAblationLRUBankParallel(b *testing.B) {
-	addrs := ablationTrace(200_000)
-	for _, w := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bank := cache.MustParallelBank(ablationSizes(), 8, w)
-				for _, a := range addrs {
-					bank.Access(a, 8, true)
-				}
-				bank.Curve()
-				bank.Close()
-			}
-			b.ReportMetric(float64(len(addrs)), "refs/op")
-		})
-	}
-}
-
 // Reference-delivery benchmarks: the cost of moving the stream from the
 // kernel to the simulator, isolated from both. The captured LU trace is
 // recorded once and replayed through each delivery mechanism.
@@ -269,62 +249,6 @@ func BenchmarkFanout(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(refs)), "refs/op")
 	})
-}
-
-// BenchmarkFanoutScaling sweeps the shard-worker count over the
-// replayed LU stream fanned out to an 11-consumer sweep (the fig6dm
-// width): 1 up through NumCPU, plus an oversubscribed point on
-// single-core hosts so the curve always has two entries. On a
-// single-core host the workers=1 row against the tee row measures the
-// full cost of the engine's machinery (copies, ring handoff, chunked
-// member-major delivery) against inline serial delivery — the shard
-// concurrency itself needs cores to pay.
-func BenchmarkFanoutScaling(b *testing.B) {
-	refs := luTrace(b)
-	blocks := trace.Blocks(refs, trace.DefaultBlockSize)
-	nrefs := len(refs)
-	workers := []int{1}
-	for w := 2; w < runtime.NumCPU(); w *= 2 {
-		workers = append(workers, w)
-	}
-	if n := runtime.NumCPU(); n > 1 {
-		workers = append(workers, n)
-	} else {
-		workers = append(workers, 2) // oversubscription cost, measured honestly
-	}
-	b.Run("tee", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			tee := trace.Tee(benchProfilers(b, 11))
-			b.StartTimer()
-			for _, blk := range blocks {
-				tee.Refs(blk)
-			}
-		}
-		b.ReportMetric(float64(nrefs), "refs/op")
-	})
-	for _, w := range workers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cs := benchProfilers(b, 11)
-				b.StartTimer()
-				fan, err := trace.NewFanoutConfig(trace.FanoutConfig{Workers: w}, cs...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, blk := range blocks {
-					fan.Refs(blk)
-				}
-				if err := fan.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(nrefs), "refs/op")
-		})
-	}
 }
 
 // Sharded-machine benchmarks: the PR7 engine. BenchmarkDirectoryShardScaling

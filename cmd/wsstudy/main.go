@@ -53,7 +53,6 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "shrink simulated problem sizes")
 	csvPath := fs.String("csv", "", "also write figure series as CSV to this file")
 	timeout := fs.Duration("timeout", 0, "per-experiment deadline (0 = none)")
-	machineShards := fs.Int("machine-shards", 0, "directory shards for the simulated machine (0 = serial engine; results are identical either way)")
 	workers := fs.Int("workers", 2, "concurrent experiments for 'all'")
 	retries := fs.Int("retries", 0, "retries for transiently failing experiments in 'all'")
 	resume := fs.String("resume", "", "all: checkpoint journal path; completed cells revive, new ones append")
@@ -100,10 +99,7 @@ func run(args []string) error {
 	if *quick {
 		scale = core.ScaleQuick
 	}
-	if *machineShards < 0 {
-		return fmt.Errorf("-machine-shards must be >= 0, got %d", *machineShards)
-	}
-	opt := core.Options{Scale: scale, Timeout: *timeout, MachineShards: *machineShards}
+	opt := core.Options{Scale: scale, Timeout: *timeout}
 	for _, kv := range opts {
 		if err := opt.SetAxis(kv.field, kv.value); err != nil {
 			return err

@@ -26,11 +26,10 @@ const canonVersion = 2
 // excluded: a deadline bounds how long a run may take, but experiments
 // are deterministic, so it cannot change the content of a report that
 // completes — and excluding it lets a request with a 30s budget reuse a
-// result computed under a 5m one. MachineShards is excluded for the same
-// reason: the sharded engine is bit-identical to the serial one (the
-// equivalence suite enforces it), so the shard count can only change
-// wall-clock behaviour, never a report — a result computed serially is
-// valid for a sharded request and vice versa.
+// result computed under a 5m one. The simulated machine's engine is not
+// an option at all: openMachine picks it from the processor count and
+// GOMAXPROCS, and the engines are bit-identical (the equivalence suite
+// enforces it), so a result computed on one host is valid on any other.
 func (o Options) Canonical() string {
 	keys := AxisFields()
 	var sb strings.Builder

@@ -220,10 +220,10 @@ func TestBlockEquivalence(t *testing.T) {
 }
 
 // fanoutVsTee runs one kernel into a profiler system and a direct-mapped
-// system attached first via the serial Tee and then via a sharded Fanout
-// built by mk, and demands identical results from both — the guarantee
-// that lets fig6dm replace its per-size reruns with one fanned run.
-func fanoutVsTee(t *testing.T, k kernelCase, mk func(...trace.Consumer) (*trace.Fanout, error)) {
+// system attached first via the serial Tee and then via a sharded Fanout,
+// and demands identical results from both — the guarantee that lets
+// fig6dm replace its per-size reruns with one fanned run.
+func fanoutVsTee(t *testing.T, k kernelCase) {
 	t.Helper()
 	build := func() (*memsys.System, *memsys.System) {
 		prof := memsys.MustNew(memsys.Config{
@@ -240,7 +240,7 @@ func fanoutVsTee(t *testing.T, k kernelCase, mk func(...trace.Consumer) (*trace.
 	k.run(t, trace.Tee{profT, dmT})
 
 	profF, dmF := build()
-	fan, err := mk(profF, dmF)
+	fan, err := trace.NewFanout(profF, dmF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,31 +257,39 @@ func fanoutVsTee(t *testing.T, k kernelCase, mk func(...trace.Consumer) (*trace.
 	}
 }
 
+// withGOMAXPROCS runs fn with GOMAXPROCS set to n and restores it after.
+// Only sequential tests and subtests may call it: the setting is global.
+func withGOMAXPROCS(n int, fn func()) {
+	old := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(old)
+	fn()
+}
+
 // TestFanoutMatchesTee proves the sharded engine equivalent to the serial
-// Tee for every kernel, under the default configuration, under a forced
-// multi-shard configuration with awkward ring/batch sizes (so shard
-// boundaries are exercised even when GOMAXPROCS would pick one worker),
-// and — because the rings must block rather than spin — under
-// GOMAXPROCS=1 explicitly.
+// Tee for every kernel: at the host's GOMAXPROCS, at GOMAXPROCS=2 (so the
+// two consumers land on two shard workers even on a 1-core host), and —
+// because the rings must block rather than spin — at GOMAXPROCS=1.
 func TestFanoutMatchesTee(t *testing.T) {
-	sharded := func(consumers ...trace.Consumer) (*trace.Fanout, error) {
-		return trace.NewFanoutConfig(trace.FanoutConfig{Workers: 2, Ring: 8, Batch: 3}, consumers...)
-	}
-	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
-	// only start after the sequential ones (and the restore) finish.
+	// Sequential subtests first: they pin GOMAXPROCS, and parallel
+	// subtests only start after the sequential ones (and the restore)
+	// finish.
 	t.Run("gomaxprocs=1", func(t *testing.T) {
-		old := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(old)
-		k := equivalenceKernels()[3] // barneshut: multi-epoch, order-sensitive
-		fanoutVsTee(t, k, trace.NewFanout)
-		fanoutVsTee(t, k, sharded)
+		withGOMAXPROCS(1, func() {
+			fanoutVsTee(t, equivalenceKernels()[3]) // barneshut: multi-epoch, order-sensitive
+		})
+	})
+	t.Run("gomaxprocs=2", func(t *testing.T) {
+		withGOMAXPROCS(2, func() {
+			for _, k := range equivalenceKernels() {
+				fanoutVsTee(t, k)
+			}
+		})
 	})
 	for _, k := range equivalenceKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			fanoutVsTee(t, k, trace.NewFanout)
-			fanoutVsTee(t, k, sharded)
+			fanoutVsTee(t, k)
 		})
 	}
 }
@@ -337,10 +345,9 @@ func TestShardedMachineMatchesSerial(t *testing.T) {
 	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
 	// only start after the sequential ones (and the restore) finish.
 	t.Run("gomaxprocs=1", func(t *testing.T) {
-		old := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(old)
-		k := equivalenceKernels()[3] // barneshut: multi-epoch, order-sensitive
-		shardedVsSerial(t, k, 3)
+		withGOMAXPROCS(1, func() {
+			shardedVsSerial(t, equivalenceKernels()[3], 3) // barneshut: multi-epoch, order-sensitive
+		})
 	})
 	for _, k := range equivalenceKernels() {
 		k := k
@@ -355,8 +362,9 @@ func TestShardedMachineMatchesSerial(t *testing.T) {
 // TestShardedDeterminism runs the same kernel through the sharded engine
 // twice and demands identical snapshots — scheduling of the shard workers
 // must never leak into results — and then runs the sharing1024 experiment
-// (which defaults to the sharded engine at P=1024) twice end to end and
-// demands byte-identical JSON reports.
+// end to end at GOMAXPROCS=1 (serial engine) and GOMAXPROCS=2 (sharded
+// engine) and demands byte-identical JSON reports, so the engine choice
+// can never leak into a report or a result key.
 func TestShardedDeterminism(t *testing.T) {
 	t.Run("kernel", func(t *testing.T) {
 		t.Parallel()
@@ -371,76 +379,62 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 	})
 	t.Run("sharing1024", func(t *testing.T) {
-		t.Parallel()
 		e, ok := Find("sharing1024")
 		if !ok {
 			t.Fatal("sharing1024 not registered")
 		}
-		opt := Options{Scale: ScaleQuick, MachineShards: 3}
-		render := func() []byte {
-			rep, err := Execute(context.Background(), e, opt)
-			if err != nil {
-				t.Fatalf("sharing1024: %v", err)
-			}
+		render := func(procs int) []byte {
 			var buf bytes.Buffer
-			if err := rep.Render(&buf, FormatJSON); err != nil {
-				t.Fatalf("render: %v", err)
-			}
+			withGOMAXPROCS(procs, func() {
+				rep, err := Execute(context.Background(), e, Options{Scale: ScaleQuick})
+				if err != nil {
+					t.Fatalf("sharing1024 at GOMAXPROCS=%d: %v", procs, err)
+				}
+				if err := rep.Render(&buf, FormatJSON); err != nil {
+					t.Fatalf("render: %v", err)
+				}
+			})
 			return buf.Bytes()
 		}
-		first := render()
-		second := render()
-		if !bytes.Equal(first, second) {
-			t.Errorf("sharing1024 reports differ between runs\nfirst:\n%s\nsecond:\n%s", first, second)
+		serial := render(1)
+		sharded := render(2)
+		if !bytes.Equal(serial, sharded) {
+			t.Errorf("sharing1024 reports differ between engines\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=2:\n%s", serial, sharded)
 		}
 	})
 }
 
-// bankDriver feeds a kernel's reference stream into a Bank-shaped sweep,
-// with the warmup boundary mapped to the measurement reset so the
-// mid-stream SetMeasuring path is part of the equivalence claim.
-type bankDriver struct {
-	access func(addr uint64, size uint32, read bool)
-	reset  func(on bool)
-	warm   int
-}
-
-func (d bankDriver) Ref(r trace.Ref) {
-	d.access(r.Addr, r.Size, r.Kind == trace.Read)
-}
-
-func (d bankDriver) BeginEpoch(n int) {
-	if n == d.warm && n > 0 {
-		d.reset(true)
+// TestEngineChoice pins the rule openMachine uses to pick the simulated
+// machine's engine — sharded only for P ≥ 64 with a second processor —
+// and checks that openMachine applies it.
+func TestEngineChoice(t *testing.T) {
+	for _, tc := range []struct {
+		pes, procs int
+		sharded    bool
+	}{
+		{4, 1, false}, {4, 2, false},
+		{32, 2, false},
+		{64, 1, false}, {64, 2, true},
+		{1024, 1, false}, {1024, 2, true},
+	} {
+		if got := engineShards(tc.pes, tc.procs) > 0; got != tc.sharded {
+			t.Errorf("P=%d GOMAXPROCS=%d: sharded = %v, want %v", tc.pes, tc.procs, got, tc.sharded)
+		}
 	}
-}
-
-// TestParallelBankMatchesSerialKernels replays every kernel's stream into
-// a serial Bank and a sharded ParallelBank and demands bit-identical
-// per-capacity miss counts — the exact-LRU face of the parallel-sweep
-// guarantee.
-func TestParallelBankMatchesSerialKernels(t *testing.T) {
-	caps := []int{8, 64, 512, 4096}
-	for _, k := range equivalenceKernels() {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			t.Parallel()
-			serial := cache.MustBank(caps, 8)
-			k.run(t, bankDriver{access: serial.Access, reset: serial.SetMeasuring, warm: k.warm})
-
-			par := cache.MustParallelBank(caps, 8, 3)
-			defer par.Close()
-			k.run(t, bankDriver{access: par.Access, reset: par.SetMeasuring, warm: k.warm})
-
-			if got, want := par.Curve(), serial.Curve(); !reflect.DeepEqual(got, want) {
-				t.Errorf("parallel bank curve diverged\nparallel: %+v\nserial:   %+v", got, want)
-			}
-			for i := range caps {
-				if got, want := par.Stats(i), serial.Stats(i); got != want {
-					t.Errorf("member %d stats diverged\nparallel: %+v\nserial:   %+v", i, got, want)
-				}
-			}
+	for _, pes := range []int{4, 64} {
+		m, err := openMachine(context.Background(), Options{}, memsys.Config{
+			PEs: pes, LineSize: 8, CacheCapacity: 64, ProfilePE: -1,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sharded := m.(*memsys.Sharded)
+		if want := engineShards(pes, runtime.GOMAXPROCS(0)) > 0; sharded != want {
+			t.Errorf("openMachine P=%d: sharded = %v, want %v", pes, sharded, want)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

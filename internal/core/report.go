@@ -387,19 +387,11 @@ type Options struct {
 	// stack-distance profiler; a power of two ≥ 2 profiles a hashed 1/R
 	// subset of the line space with counts scaled back up (see
 	// cache.SampledStackProfiler). Sampling changes reported numbers, so
-	// unlike MachineShards it IS part of the canonical encoding and the
-	// result key.
+	// it is part of the canonical encoding and the result key.
 	SampleRate int
 	// Timeout, when positive, bounds the experiment's run time. Execute
 	// derives a deadline-carrying context and maps expiry to ErrDeadline.
 	Timeout time.Duration
-	// MachineShards selects the simulated machine's engine: 0 the serial
-	// memory system, a positive count the region-sharded engine with that
-	// many directory shards. The sharded engine is bit-identical to the
-	// serial one, so — like Timeout — this is a non-semantic knob and is
-	// deliberately excluded from Canonical(): the same experiment at any
-	// shard count shares one result key.
-	MachineShards int
 }
 
 // Experiment is one reproducible artifact of the paper.

@@ -8,7 +8,6 @@ import (
 	"wsstudy/internal/apps/cg"
 	"wsstudy/internal/machine"
 	"wsstudy/internal/memsys"
-	"wsstudy/internal/obs"
 	"wsstudy/internal/trace"
 	"wsstudy/internal/workingset"
 )
@@ -16,20 +15,20 @@ import (
 // expSharing1024 simulates — rather than extrapolates — the paper's
 // headline 1024-PE configuration: a CG solve partitioned across 1024
 // processors with concrete per-PE caches, sweeping the line size to watch
-// communication (remote misses, invalidations) grow with grain. The serial
-// engine made this configuration intractable; the region-sharded machine
-// is what lets a directory over 1024 caches run in CI time, so this
-// experiment defaults to the sharded engine even when the run doesn't ask
-// for one. Every statistic is engine-independent (the equivalence gate),
-// so the default is a speed choice, not a semantic one.
+// communication (remote misses, invalidations) grow with grain. The
+// machine opens like every other through openMachine, which puts P=1024 on
+// the region-sharded engine when a second core is available (87 ms vs
+// 118 ms serial for the quick shape on a 2-core host). Every statistic is
+// engine-independent (the equivalence gate), so the choice is a speed
+// choice, not a semantic one.
 func expSharing1024() Experiment {
 	return Experiment{
 		ID:    "sharing1024",
 		Title: "Sharing at paper scale: CG on 1024 processors vs line size",
-		Description: "Direct simulation of a 1024-PE cache-coherent machine " +
-			"(region-sharded engine): remote misses, invalidations and the " +
-			"resulting FLOPs-per-word ratio as the line size grows, classified " +
-			"against the Section 2.3 sustainability bands.",
+		Description: "Direct simulation of a 1024-PE cache-coherent machine: " +
+			"remote misses, invalidations and the resulting FLOPs-per-word " +
+			"ratio as the line size grows, classified against the Section 2.3 " +
+			"sustainability bands.",
 		Run: func(ctx context.Context, o Options) (*Report, error) {
 			const p = 1024
 			px := int(math.Sqrt(float64(p)))
@@ -52,18 +51,14 @@ func expSharing1024() Experiment {
 			measuredFLOPs := float64(iters-warm) * 20 * float64(n) * float64(n)
 
 			for _, ls := range lineSizes {
-				cfg := memsys.Config{
+				sys, err := openMachine(ctx, o, memsys.Config{
 					PEs: p, LineSize: ls, Dist: memsys.Interleaved,
 					CacheCapacity: int(cacheBytes / ls), ProfilePE: -1,
 					WarmupEpochs: warm,
+				})
+				if err != nil {
+					return nil, err
 				}
-				if o.MachineShards == 0 {
-					cfg.Shards = memsys.DefaultShards()
-				} else {
-					cfg.Shards = o.MachineShards
-				}
-				sys := memsys.MustOpen(cfg)
-				sys.Instrument(obs.From(ctx))
 
 				part, err := cg.NewPartition2D(n, px, p/px, nil)
 				if err != nil {

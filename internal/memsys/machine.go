@@ -11,7 +11,7 @@ import (
 // System (serial) and Sharded (region-partitioned, W directory shards)
 // both satisfy it and are bit-identical in every statistic; Open picks
 // between them by Config.Shards, so experiments are written once against
-// Machine and scale to paper-size P by flipping one knob.
+// Machine and run on whichever engine is faster for their P and host.
 //
 // Engine-specific caveats live behind the accessors: on the sharded
 // engine, every statistics read (Stats, CacheStats, DirectoryStats,

@@ -74,7 +74,8 @@ type Config struct {
 	// positive count is the region-sharded engine with that many
 	// directory shards. The sharded engine is bit-identical to the serial
 	// one — Shards changes wall-clock behaviour only, never a statistic —
-	// which is why it is excluded from core's canonical option encoding.
+	// which is why core chooses it from P and GOMAXPROCS rather than
+	// exposing it as an option.
 	Shards int
 	// SampleRate selects profiler fidelity when Profile is set: 0 or 1
 	// attaches exact stack-distance profilers, a power of two ≥ 2

@@ -662,9 +662,9 @@ func (s *Sharded) Close() error {
 	return s.Err()
 }
 
-// DefaultShards is the shard count CLI and experiments fall back to when
-// the user asks for a sharded machine without naming a width: enough to
-// engage the pipeline without oversubscribing small CI hosts.
+// DefaultShards is the directory shard count experiments open the sharded
+// engine with: enough to engage the pipeline without oversubscribing
+// small hosts.
 func DefaultShards() int {
 	w := runtime.GOMAXPROCS(0) / 2
 	if w < 2 {

@@ -2,10 +2,10 @@
 // with batched, blocking semantics.
 //
 // The ring is the handoff primitive under trace.Fanout's sharded worker
-// pool and cache.ParallelBank: the producer publishes batches of items
-// with one atomic store and at most one channel send per batch, and the
-// consumer drains everything available with one atomic store on its
-// side. Compared with a Go channel the per-item cost collapses from a
+// pool and the memsys.Sharded engine: the producer publishes batches of
+// items with one atomic store and at most one channel send per batch,
+// and the consumer drains everything available with one atomic store on
+// its side. Compared with a Go channel the per-item cost collapses from a
 // lock acquisition to a slice copy, which is what lets a synchronization
 // point amortize over many simulation blocks.
 //

@@ -51,7 +51,6 @@ type Fanout struct {
 	wg      sync.WaitGroup
 	buf     []Ref    // producer-side buffer for per-Ref input
 	pending []fanMsg // producer-side batch awaiting publish
-	batch   int      // messages per publish
 	closed  bool
 
 	mu  sync.Mutex
@@ -137,16 +136,16 @@ var fanBlockPool = sync.Pool{
 }
 
 const (
-	// DefaultFanoutDepth is the default per-worker ring capacity in
-	// messages: deep enough to decouple the producer from the slowest
-	// shard across several batches, shallow enough that backpressure
-	// bounds in-flight pooled blocks to a few hundred KB per shard.
-	DefaultFanoutDepth = 64
-	// DefaultFanoutBatch is how many messages the producer accumulates
-	// per publish. At 512-ref blocks one publish hands over ~8K
-	// references, so the two atomic ring operations and one wakeup
-	// amortize to noise against the simulation cost of the batch.
-	DefaultFanoutBatch = 16
+	// fanoutRing is each worker's ring capacity in messages: deep enough
+	// to decouple the producer from the slowest shard across several
+	// batches, shallow enough that backpressure bounds in-flight pooled
+	// blocks to a few hundred KB per shard.
+	fanoutRing = 64
+	// fanoutBatch is how many messages the producer accumulates per
+	// publish. At 512-ref blocks one publish hands over ~8K references,
+	// so the two atomic ring operations and one wakeup amortize to noise
+	// against the simulation cost of the batch.
+	fanoutBatch = 16
 	// deliverChunk is how many drained messages a worker hands each
 	// member before moving to the next member. At 512-ref blocks a chunk
 	// is ~50KB of reference data — small enough to stay cache-resident
@@ -155,38 +154,10 @@ const (
 	deliverChunk = 4
 )
 
-// FanoutConfig tunes a sharded fanout. The zero value selects defaults.
-type FanoutConfig struct {
-	// Workers is the number of shard goroutines. Zero or negative means
-	// min(GOMAXPROCS, number of consumers); values above the consumer
-	// count are clamped to it.
-	Workers int
-	// Ring is each worker's ring capacity in messages (rounded up to a
-	// power of two). Zero means DefaultFanoutDepth; negative is invalid.
-	Ring int
-	// Batch is how many messages the producer buffers per publish,
-	// clamped to Ring. Zero means min(DefaultFanoutBatch, Ring);
-	// negative is invalid.
-	Batch int
-}
-
-// NewFanout starts a sharded fanout with default configuration. At least
-// one non-nil consumer is required.
+// NewFanout starts a sharded fanout: min(GOMAXPROCS, len(consumers))
+// shard goroutines, each with its own ring, with consumer i pinned to
+// worker i mod workers. At least one non-nil consumer is required.
 func NewFanout(consumers ...Consumer) (*Fanout, error) {
-	return NewFanoutConfig(FanoutConfig{}, consumers...)
-}
-
-// NewFanoutDepth is NewFanout with an explicit per-worker ring capacity.
-func NewFanoutDepth(depth int, consumers ...Consumer) (*Fanout, error) {
-	if depth <= 0 {
-		return nil, fmt.Errorf("%w: fanout depth %d must be positive", ErrInvalidConfig, depth)
-	}
-	return NewFanoutConfig(FanoutConfig{Ring: depth}, consumers...)
-}
-
-// NewFanoutConfig starts a sharded fanout: cfg.Workers shard goroutines,
-// each with its own ring, with consumer i pinned to worker i mod Workers.
-func NewFanoutConfig(cfg FanoutConfig, consumers ...Consumer) (*Fanout, error) {
 	if len(consumers) == 0 {
 		return nil, fmt.Errorf("%w: fanout needs at least one consumer", ErrInvalidConfig)
 	}
@@ -195,39 +166,15 @@ func NewFanoutConfig(cfg FanoutConfig, consumers ...Consumer) (*Fanout, error) {
 			return nil, fmt.Errorf("%w: fanout consumer %d is nil", ErrInvalidConfig, i)
 		}
 	}
-	if cfg.Ring < 0 {
-		return nil, fmt.Errorf("%w: fanout ring %d must not be negative", ErrInvalidConfig, cfg.Ring)
-	}
-	if cfg.Batch < 0 {
-		return nil, fmt.Errorf("%w: fanout batch %d must not be negative", ErrInvalidConfig, cfg.Batch)
-	}
-	ring := cfg.Ring
-	if ring == 0 {
-		ring = DefaultFanoutDepth
-	}
-	batch := cfg.Batch
-	if batch == 0 {
-		batch = DefaultFanoutBatch
-	}
-	if batch > ring {
-		batch = ring
-	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(consumers) {
-		w = len(consumers)
-	}
+	w := min(runtime.GOMAXPROCS(0), len(consumers))
 
 	f := &Fanout{
 		workers: make([]*fanWorker, w),
 		buf:     make([]Ref, 0, DefaultBlockSize),
-		pending: make([]fanMsg, 0, batch),
-		batch:   batch,
+		pending: make([]fanMsg, 0, fanoutBatch),
 	}
 	for i := range f.workers {
-		r, err := spsc.New[fanMsg](ring)
+		r, err := spsc.New[fanMsg](fanoutRing)
 		if err != nil {
 			return nil, fmt.Errorf("%w: fanout ring: %v", ErrInvalidConfig, err)
 		}
@@ -341,7 +288,7 @@ func (f *Fanout) fail(err error) {
 // batch boundary.
 func (f *Fanout) enqueue(msg fanMsg) {
 	f.pending = append(f.pending, msg)
-	if len(f.pending) >= f.batch {
+	if len(f.pending) >= fanoutBatch {
 		f.publish()
 	}
 }

@@ -77,7 +77,7 @@ func TestFanoutEquivalentToTee(t *testing.T) {
 	emitScript(b1)
 
 	fanA, fanB := &lockedRec{}, &lockedRec{}
-	fan, err := NewFanoutDepth(2, fanA, fanB)
+	fan, err := NewFanout(fanA, fanB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +121,18 @@ func TestFanoutCopiesBlocks(t *testing.T) {
 
 // TestFanoutErrorPropagation: a consumer's stop reason surfaces through
 // Err and Close, and a failed worker does not block the producer — the
-// healthy consumer still receives the full stream.
+// healthy consumer still receives the full stream. The stream is four
+// rings deep, so a failed member that stalled its shard would fill the
+// ring and park the producer for good.
 func TestFanoutErrorPropagation(t *testing.T) {
 	stopErr := errors.New("budget exhausted")
 	bad := &failAfter{n: 1, err: stopErr}
 	good := &lockedRec{}
-	fan, err := NewFanoutDepth(1, bad, good)
+	fan, err := NewFanout(bad, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const total = 10 * DefaultBlockSize
+	const total = 4 * fanoutRing * DefaultBlockSize
 	for i := 0; i < total; i++ {
 		fan.Ref(Ref{Addr: uint64(i)})
 	}
@@ -189,16 +191,13 @@ func TestFanoutCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestFanoutInvalidConfig: empty consumer lists, nil consumers and
-// non-positive depths are configuration errors.
+// TestFanoutInvalidConfig: empty consumer lists and nil consumers are
+// configuration errors.
 func TestFanoutInvalidConfig(t *testing.T) {
 	if _, err := NewFanout(); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("no consumers: err = %v, want ErrInvalidConfig", err)
 	}
 	if _, err := NewFanout(Discard, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("nil consumer: err = %v, want ErrInvalidConfig", err)
-	}
-	if _, err := NewFanoutDepth(0, Discard); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("zero depth: err = %v, want ErrInvalidConfig", err)
 	}
 }

@@ -315,8 +315,9 @@ type (
 	// Batcher buffers any number of emitters into fixed-capacity blocks
 	// while preserving the global emission order and epoch placement.
 	Batcher = trace.Batcher
-	// Fanout drives several independent consumers concurrently, one
-	// goroutine each; Close is the barrier before reading their results.
+	// Fanout drives several independent consumers concurrently on a
+	// sharded worker pool; Close is the barrier before reading their
+	// results.
 	Fanout = trace.Fanout
 	// Tee drives several consumers serially; required when they share state.
 	Tee = trace.Tee
@@ -367,9 +368,10 @@ func NewEmitter(pe int, sink Consumer) *Emitter { return trace.NewEmitter(pe, si
 // Batcher whose emitters drop every reference.
 func NewBatcher(sink Consumer) *Batcher { return trace.NewBatcher(sink) }
 
-// NewFanout runs each consumer on its own goroutine fed by a bounded
-// channel. The consumers must be independent (no shared state); use Tee
-// otherwise. Call Close before reading results from the consumers.
+// NewFanout pins the consumers to min(GOMAXPROCS, len(consumers)) worker
+// goroutines, each fed batches of blocks through its own bounded ring.
+// The consumers must be independent (no shared state); use Tee otherwise.
+// Call Close before reading results from the consumers.
 func NewFanout(consumers ...Consumer) (*Fanout, error) { return trace.NewFanout(consumers...) }
 
 // NewStackProfiler builds a profiler with the given line size in bytes
