@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: check build vet bench-vet fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
+.PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
 
 # Tier-1 gate: everything must build, `go vet ./...` clean, be
 # gofmt-formatted, pass under -race, the batched pipeline must remain
@@ -14,9 +14,10 @@ BENCH_OUT ?= BENCH_PR10.json
 # profile must land inside the smoke wall-clock budget (sample-smoke),
 # a 2-node peer cluster must hold the load contract under a short
 # measured wsload run (load-smoke), every benchmark must still run for
-# one iteration (bench-smoke), and the bench/ module must still compile
-# against the names it uses (bench-vet).
-check: build vet bench-vet fmt-check race equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke bench-smoke
+# one iteration (bench-smoke), the bench/ module must still compile
+# against the names it uses (bench-vet), and every benchmark workload
+# must pass its own checks at toy size (bench-test).
+check: build vet bench-vet bench-test fmt-check race equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +28,12 @@ vet:
 # bench/ is its own module, so the root `go test ./...` never compiles it.
 bench-vet:
 	cd bench && $(GO) vet ./...
+
+# The benchmark's own tests: every workload at toy size, end to end
+# through the serve, store and cluster paths, held to its own output
+# checks.
+bench-test:
+	cd bench && $(GO) test ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -85,9 +92,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Longer-running decoder fuzz (30s), as used in CI's extended job.
+# Longer-running decoder fuzz (30s per target), as used in CI's
+# extended job: the trace replayer and the v1 query decoder.
 fuzz:
-	$(GO) test -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequestV1 -fuzztime=30s ./internal/serve/
 
 # Delivery, sweep-engine, and serving-tier benchmarks (ring lookup,
 # warm peer-fill, wsload cached-RPS and overload shedding); results are

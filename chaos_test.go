@@ -24,7 +24,7 @@ import (
 )
 
 // The chaos suite: randomized, seeded fault schedules over the full
-// stack (store persistence, compute retry, kernel-trace capture, WST2
+// stack (store persistence, compute retry, kernel-trace capture, trace
 // framing, experiment execution), checked against three invariants:
 //
 //  1. Termination — every Get returns, fault or not.
@@ -82,7 +82,7 @@ func chaosExperiments() []Experiment {
 					for i := 0; i < 16; i++ {
 						for j := range block {
 							// Scattered addresses defeat delta encoding so the
-							// recording spans several WST2 frames — a corrupt
+							// recording spans several frames — a corrupt
 							// frame fault has room to land.
 							block[j] = trace.Ref{PE: j % 4, Addr: uint64((epoch*16+i)*1024+j) * 2654435761, Size: 8}
 						}

@@ -20,7 +20,7 @@
 // full 256x256x113 phantom).
 //
 // serve puts the content-addressed result store behind
-// GET /v1/experiments, GET /v1/experiments/{id}/report?scale=quick|full
+// GET /v1/experiments, GET /v1/experiments/{id}/report?opt.scale=quick|full
 // and GET /v1/suite: identical requests never recompute (singleflight +
 // LRU cache, optional -store-dir persistence), saturation answers 429,
 // and SIGTERM drains in-flight runs. Combine with -listen for pprof and
@@ -65,7 +65,7 @@ func run(args []string) error {
 	storeBytes := fs.Int64("store-bytes", 0, "serve: result-store byte budget (0 = default 64 MiB)")
 	storeDir := fs.String("store-dir", "", "serve: persist rendered reports in this directory")
 	sweepDir := fs.String("sweep-dir", "", "serve: sweep checkpoint-journal directory (default <store-dir>/sweeps)")
-	defaultScale := fs.String("default-scale", "quick", "serve: scale when a request has no ?scale= (quick|full)")
+	defaultScale := fs.String("default-scale", "quick", "serve: scale when a request has no ?opt.scale= (quick|full)")
 	sweepExp := fs.String("experiment", "gridlu", "sweep: experiment to evaluate at every lattice cell")
 	var axes axisList
 	fs.Var(&axes, "axis", "sweep: one lattice axis as field=v1,v2,... (repeatable; fields: "+strings.Join(core.AxisFields(), ", ")+")")
@@ -74,7 +74,6 @@ func run(args []string) error {
 	dataBytes := fs.Uint64("data-bytes", 1<<30, "sweep: total problem size for the grain (perf-per-dollar) advice")
 	nodeID := fs.String("node-id", "", "serve: this node's id in the -peers map (empty = standalone)")
 	peersFlag := fs.String("peers", "", "serve: full cluster membership as id=url,id=url,... (identical on every node, self included)")
-	vnodes := fs.Int("vnodes", 0, "serve: virtual nodes per ring member (0 = 128)")
 	peerFetch := fs.Duration("peer-fetch-budget", 0, "serve: per-attempt peer-fill budget (0 = 2s; also capped at 10% of the request deadline)")
 	peerWait := fs.Duration("peer-wait-budget", 0, "serve: total budget polling an owner that is still computing (0 = 15s)")
 	peerProbe := fs.Duration("peer-probe", 0, "serve: cooldown before a degraded peer is probed again (0 = 15s)")
@@ -187,7 +186,6 @@ func run(args []string) error {
 			drain:         *drain,
 			nodeID:        *nodeID,
 			peers:         peers,
-			vnodes:        *vnodes,
 			fetchBudget:   *peerFetch,
 			waitBudget:    *peerWait,
 			peerProbe:     *peerProbe,

@@ -37,7 +37,6 @@ type serveParams struct {
 	// Empty nodeID serves standalone.
 	nodeID        string
 	peers         map[string]string
-	vnodes        int
 	fetchBudget   time.Duration
 	waitBudget    time.Duration
 	peerProbe     time.Duration
@@ -90,7 +89,6 @@ func runServe(ctx context.Context, rec *obs.Recorder, p serveParams, ready func(
 	}
 	if p.nodeID != "" {
 		cfg.PeerAddrs = p.peers
-		cfg.VNodes = p.vnodes
 		cfg.FetchBudget = p.fetchBudget
 		cfg.WaitBudget = p.waitBudget
 		cfg.PeerProbe = p.peerProbe

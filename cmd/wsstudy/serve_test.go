@@ -56,7 +56,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// A model-only experiment end to end: quick to compute, full JSON
 	// report out, and the store counters move on the shared recorder.
-	rep := get(t, fmt.Sprintf("%s/v1/experiments/%s/report?scale=quick", base, "scalingall"))
+	rep := get(t, fmt.Sprintf("%s/v1/experiments/%s/report?opt.scale=quick", base, "scalingall"))
 	var v core.ReportV1
 	if err := json.Unmarshal([]byte(rep), &v); err != nil {
 		t.Fatalf("report not ReportV1 JSON: %v\n%.300s", err, rep)

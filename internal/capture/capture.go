@@ -217,7 +217,7 @@ func (s *Store) Run(ctx context.Context, key string, epochs int, sink trace.Cons
 	rec.Counter(obs.CaptureMisses).Inc()
 
 	buf := &buffer{}
-	w, err := trace.NewCompressedWriter(buf)
+	w, err := trace.NewWriter(buf)
 	if err != nil {
 		buf.free()
 		return produce(sink)

@@ -195,7 +195,7 @@ func TestCorruptReplayFailsRun(t *testing.T) {
 	s := New(0)
 	ctx := context.Background()
 
-	// Big enough for several 32 KB WST2 frames, so the corrupt tail
+	// Big enough for several 32 KB frames, so the corrupt tail
 	// frame sits behind verified ones.
 	var live eventLog
 	if err := s.Run(ctx, "k/c", 3, &live, script(3, 20000)); err != nil {

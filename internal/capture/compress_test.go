@@ -1,8 +1,8 @@
 package capture
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"testing"
 
@@ -16,8 +16,8 @@ import (
 // re-record rather than a failed Run (the mid-stream case is
 // TestCorruptReplayFailsRun).
 
-// snapshotMagic reads the committed recording's 4-byte magic.
-func snapshotMagic(t *testing.T, s *Store, key string) string {
+// snapshot reads the committed recording's bytes.
+func snapshot(t *testing.T, s *Store, key string) []byte {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -25,11 +25,11 @@ func snapshotMagic(t *testing.T, s *Store, key string) string {
 	if e == nil {
 		t.Fatal("no committed recording")
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(e.buf.reader(), magic[:]); err != nil {
+	b, err := io.ReadAll(e.buf.reader())
+	if err != nil {
 		t.Fatal(err)
 	}
-	return string(magic[:])
+	return b
 }
 
 func TestSnapshotIsCompressed(t *testing.T) {
@@ -38,24 +38,24 @@ func TestSnapshotIsCompressed(t *testing.T) {
 	if err := s.Run(context.Background(), "k/wst3", 2, &live, script(2, 20000)); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotMagic(t, s, "k/wst3"); got != "WST3" {
+	snap := snapshot(t, s, "k/wst3")
+	if got := string(snap[:4]); got != "WST3" {
 		t.Fatalf("snapshot magic = %q, want WST3", got)
 	}
-	// The compressed snapshot must undercut the uncompressed encoding of
-	// the same stream.
-	var raw bytes.Buffer
-	w, err := trace.NewWriter(&raw)
-	if err != nil {
-		t.Fatal(err)
+	// The DEFLATEd frames must undercut the record bytes they carry; each
+	// frame header states both lengths.
+	var compressed, raw int
+	for off := 4; ; {
+		plen := int(binary.LittleEndian.Uint32(snap[off:]))
+		if plen == 0 {
+			break
+		}
+		compressed += plen
+		raw += int(binary.LittleEndian.Uint32(snap[off+4:]))
+		off += 16 + plen
 	}
-	if err := script(2, 20000)(trace.Tee{w}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Bytes() >= int64(raw.Len()) {
-		t.Fatalf("compressed snapshot %d bytes >= uncompressed %d", s.Bytes(), raw.Len())
+	if compressed >= raw {
+		t.Fatalf("compressed frames %d bytes >= %d record bytes", compressed, raw)
 	}
 	// And it replays the identical stream.
 	var replayed eventLog

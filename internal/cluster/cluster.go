@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/obs"
@@ -63,8 +64,6 @@ type Config struct {
 	// ring member, this node included (its own URL is never dialed).
 	// Every node must be handed the same map. Required.
 	Peers map[string]string
-	// VNodes is the per-member virtual-node count (0 = DefaultVNodes).
-	VNodes int
 	// Store is this node's local result store — the crawler warms it,
 	// and Fill validates peer bytes against its schema gate. Required.
 	Store *store.Store
@@ -135,7 +134,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		ids = append(ids, id)
 	}
-	ring, err := NewRing(ids, cfg.VNodes)
+	ring, err := NewRing(ids, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +179,7 @@ func New(cfg Config) (*Cluster, error) {
 			continue
 		}
 		c.peers[id] = &peer{id: id, addr: strings.TrimSuffix(addr, "/"),
-			cooldown: cfg.ProbeInterval, counter: degraded}
+			brk: breaker.New(cfg.ProbeInterval, degraded)}
 	}
 	for _, e := range cfg.Registry {
 		c.byID[e.ID] = e
@@ -220,7 +219,7 @@ func (c *Cluster) Fill(ctx context.Context, key store.Key, e core.Experiment, op
 		return nil, false
 	}
 	p := c.peers[owner]
-	if !p.available() {
+	if !p.brk.Allow() {
 		c.skipped.Inc()
 		return nil, false
 	}
@@ -229,13 +228,13 @@ func (c *Cluster) Fill(ctx context.Context, key store.Key, e core.Experiment, op
 	res, err := c.fetch(ctx, p, key, e, opt)
 	c.fetchWall.Observe(time.Since(start))
 	if err == nil {
-		p.heal()
+		p.brk.Succeed()
 		c.hits.Inc()
 		return res, true
 	}
 	c.misses.Inc()
 	if errors.Is(err, errPeerDown) {
-		p.degrade(err.Error())
+		p.brk.Fail(err.Error())
 	}
 	return nil, false
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/core"
 	"wsstudy/internal/obs"
 	"wsstudy/internal/store"
@@ -249,7 +250,7 @@ func TestFillDegradeAndHeal(t *testing.T) {
 		t.Fatalf("health does not show the degraded peer: %+v", st)
 	}
 	for _, p := range st.Peers {
-		if p.ID == "b" && (p.State != StateDegraded || p.Reason == "") {
+		if p.ID == "b" && (p.State != breaker.StateDegraded || p.Reason == "") {
 			t.Fatalf("peer b: state %q reason %q, want degraded with a reason", p.State, p.Reason)
 		}
 		if p.ID == "a" && p.State != StateSelf {
@@ -280,6 +281,44 @@ func TestFillDegradeAndHeal(t *testing.T) {
 	}
 	if got := f.counter(obs.ClusterPeerDegraded); got != 1 {
 		t.Fatalf("degraded transitions = %d after heal, want still 1", got)
+	}
+}
+
+// TestFillOneProbePerCooldown: once a dead peer's cooldown passes, a
+// burst of concurrent fills (a cold-key storm) sends exactly one probe
+// to it; every other fill bypasses straight to local compute instead of
+// waiting on the same dead owner.
+func TestFillOneProbePerCooldown(t *testing.T) {
+	f := newFillFixture(t, Config{ProbeInterval: 300 * time.Millisecond})
+	var calls atomic.Int64
+	f.owner.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		time.Sleep(200 * time.Millisecond) // a hung owner, not a fast 500
+		status(http.StatusInternalServerError, "")(w, r)
+	}))
+	if _, ok := f.fill(t, 5*time.Second); ok {
+		t.Fatal("Fill succeeded against a dead owner")
+	}
+	time.Sleep(350 * time.Millisecond)
+
+	before, skipped := calls.Load(), f.counter(obs.ClusterPeerSkipped)
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if _, ok := f.fill(t, 5*time.Second); ok {
+				t.Error("Fill succeeded against a dead owner")
+			}
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		<-done
+	}
+	if got := calls.Load() - before; got != 1 {
+		t.Errorf("8 fills after the cooldown dialed the dead owner %d times, want 1", got)
+	}
+	if got := f.counter(obs.ClusterPeerSkipped) - skipped; got != 7 {
+		t.Errorf("cluster.peer.skipped += %d, want 7", got)
 	}
 }
 

@@ -2,82 +2,32 @@ package cluster
 
 import (
 	"sort"
-	"sync"
-	"time"
 
-	"wsstudy/internal/obs"
+	"wsstudy/internal/breaker"
 )
 
-// Peer states reported by Health. "self" marks this node's own ring
-// entry (never fetched from); "degraded" means recent fetches failed
-// and peer-fill is bypassing the peer — every owned-elsewhere miss
-// computes locally — until the cooldown expires and one fetch probes
-// it again.
-const (
-	StateOK       = "ok"
-	StateDegraded = "degraded"
-	StateSelf     = "self"
-)
+// StateSelf marks this node's own ring entry in Health (never fetched
+// from). Remote peers report their breaker's state: "ok", or
+// "degraded" when recent fetches failed and peer-fill is bypassing the
+// peer — every owned-elsewhere miss computes locally — until the
+// cooldown expires and one fetch probes it again.
+const StateSelf = "self"
 
-// peer is one remote member: its base URL plus the same degradation
-// state machine the store runs for its disk and capture subsystems
-// (degrade on failure, bypass during the cooldown, let one operation
-// through as a probe, heal on success).
+// peer is one remote member: its base URL and the breaker that decides
+// whether peer-fill talks to it.
 type peer struct {
 	id   string
 	addr string
-
-	cooldown time.Duration
-	counter  *obs.Counter // cluster.peer.degraded, shared across peers
-
-	mu       sync.Mutex
-	degraded bool
-	reason   string
-	retryAt  time.Time
+	brk  *breaker.Breaker
 }
 
-// available reports whether the next peer-fill should talk to this
-// peer: always when healthy, once per cooldown when degraded (the
-// probe).
-func (p *peer) available() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.degraded {
-		return true
-	}
-	return !time.Now().Before(p.retryAt)
-}
-
-// degrade marks the peer failed, starting (or restarting) the bypass
-// cooldown. Only the transition into degraded counts, so the metric
-// counts incidents, not skipped fills.
-func (p *peer) degrade(reason string) {
-	p.mu.Lock()
-	wasHealthy := !p.degraded
-	p.degraded = true
-	p.reason = reason
-	p.retryAt = time.Now().Add(p.cooldown)
-	p.mu.Unlock()
-	if wasHealthy {
-		p.counter.Inc()
-	}
-}
-
-// heal clears the degradation after a successful fetch.
-func (p *peer) heal() {
-	p.mu.Lock()
-	p.degraded = false
-	p.reason = ""
-	p.mu.Unlock()
-}
-
-// PeerStatus is one ring member's row in Health.
+// PeerStatus is one ring member's row in Health. The embedded Status
+// carries State ("ok" | "degraded" | "self") and Reason (the last fetch
+// failure of a degraded peer).
 type PeerStatus struct {
-	ID    string `json:"id"`
-	Addr  string `json:"addr"`
-	State string `json:"state"` // "ok" | "degraded" | "self"
-	// Reason explains a degradation (last fetch failure).
-	Reason string `json:"reason,omitempty"`
+	ID   string `json:"id"`
+	Addr string `json:"addr"`
+	breaker.Status
 	// Share is the member's exact fraction of the key space.
 	Share float64 `json:"share"`
 }
@@ -98,19 +48,10 @@ func (c *Cluster) Health() Health {
 	for _, id := range c.ring.Members() {
 		ps := PeerStatus{ID: id, Share: shares[id]}
 		if id == c.cfg.Self {
-			ps.State = StateSelf
-			ps.Addr = c.cfg.Peers[id]
+			ps.Addr, ps.State = c.cfg.Peers[id], StateSelf
 		} else {
 			p := c.peers[id]
-			ps.Addr = p.addr
-			p.mu.Lock()
-			if p.degraded {
-				ps.State = StateDegraded
-				ps.Reason = p.reason
-			} else {
-				ps.State = StateOK
-			}
-			p.mu.Unlock()
+			ps.Addr, ps.Status = p.addr, p.brk.Status()
 		}
 		h.Peers = append(h.Peers, ps)
 	}
@@ -121,7 +62,7 @@ func (c *Cluster) Health() Health {
 // Degraded reports whether any peer is currently degraded.
 func (h Health) Degraded() bool {
 	for _, p := range h.Peers {
-		if p.State == StateDegraded {
+		if p.State == breaker.StateDegraded {
 			return true
 		}
 	}

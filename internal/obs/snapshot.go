@@ -119,10 +119,6 @@ const (
 	ServeNotModified = "serve.not_modified"
 	ServeErrors      = "serve.errors"
 	ServeRequestWall = "serve.request.wall"
-	// ServeDeprecated counts requests that used a deprecated parameter
-	// (the bare ?scale= alias), so the alias's removal can be
-	// data-driven.
-	ServeDeprecated = "serve.deprecated"
 
 	// ClusterPeerHits counts local store misses answered by fetching the
 	// finished rendering from the key's ring owner — computations this

@@ -114,41 +114,37 @@ func TestHeadRidesGet(t *testing.T) {
 	}
 }
 
-// TestDeprecatedBareScale pins the ?scale= migration path: the bare
-// parameter still works but carries Deprecation and Sunset headers and
-// counts on serve.deprecated; the replacement ?opt.scale= is silent;
-// sending both is a conflict.
-func TestDeprecatedBareScale(t *testing.T) {
-	var execs atomic.Int64
-	rec := obs.New()
-	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), rec)
-
-	resp := get(t, hs.URL+"/v1/experiments/inst/report?scale=quick", nil)
-	body(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bare scale status = %d", resp.StatusCode)
+// TestBareScaleRejected: the bare ?scale= alias is gone, so every route
+// that decodes the v1 query answers it like any other unknown
+// parameter, with a 400 envelope naming it, before any computation or
+// sweep lookup runs.
+func TestBareScaleRejected(t *testing.T) {
+	hs, _ := newSweepServer(t, nil, t.TempDir())
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/experiments/gridlu/report?scale=quick"},
+		{http.MethodGet, "/v1/suite?scale=quick"},
+		{http.MethodGet, "/v1/sweeps?scale=quick"},
+		{http.MethodPost, "/v1/sweeps?scale=quick"},
+		{http.MethodGet, "/v1/sweeps/deadbeef?scale=quick"},
+		{http.MethodGet, "/v1/sweeps/deadbeef/grain?scale=quick"},
+	} {
+		req, err := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(sweepSpecJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			body(t, resp)
+			t.Errorf("%s %s = %d, want 400", tc.method, tc.path, resp.StatusCode)
+			continue
+		}
+		if env := decodeEnvelope(t, resp); !strings.Contains(env.Error, `unknown parameter "scale"`) {
+			t.Errorf("%s %s: error %q does not name the unknown parameter", tc.method, tc.path, env.Error)
+		}
 	}
-	if resp.Header.Get("Deprecation") == "" || resp.Header.Get("Sunset") == "" {
-		t.Errorf("bare ?scale= answered without Deprecation/Sunset headers: %v", resp.Header)
-	}
-	if got := rec.Snapshot().Counter(obs.ServeDeprecated); got != 1 {
-		t.Errorf("%s = %d, want 1", obs.ServeDeprecated, got)
-	}
-
-	resp = get(t, hs.URL+"/v1/experiments/inst/report?opt.scale=quick", nil)
-	body(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("opt.scale status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
-		t.Error("opt.scale= wrongly marked deprecated")
-	}
-
-	resp = get(t, hs.URL+"/v1/experiments/inst/report?scale=quick&opt.scale=full", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting scales status = %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
 }
 
 // TestSuiteETagConditional: the suite document carries a strong ETag

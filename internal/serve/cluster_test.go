@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/cluster"
 	"wsstudy/internal/core"
 	"wsstudy/internal/obs"
@@ -322,7 +323,7 @@ func TestClusterOwnerDeath(t *testing.T) {
 	for _, f := range followers {
 		h := tc.nodes[f].Cluster.Health()
 		for _, p := range h.Peers {
-			if p.ID == tc.ids[owner] && p.State == cluster.StateDegraded {
+			if p.ID == tc.ids[owner] && p.State == breaker.StateDegraded {
 				degraded++
 			}
 		}
@@ -360,7 +361,7 @@ func TestClusterHealthz(t *testing.T) {
 	var shares float64
 	for _, p := range doc.Cluster.Peers {
 		shares += p.Share
-		want := cluster.StateOK
+		want := breaker.StateOK
 		if p.ID == "node-0" {
 			want = cluster.StateSelf
 		}

@@ -33,8 +33,6 @@ type NodeConfig struct {
 	// Empty NodeID means a standalone node (no ring, no peer-fill).
 	NodeID    string
 	PeerAddrs map[string]string
-	// VNodes is the per-member virtual-node count (0 = cluster.DefaultVNodes).
-	VNodes int
 	// FetchBudget / WaitBudget / PeerProbe tune peer-fill; see
 	// cluster.Config.
 	FetchBudget, WaitBudget, PeerProbe time.Duration
@@ -104,7 +102,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cl, err = cluster.New(cluster.Config{
 			Self:          cfg.NodeID,
 			Peers:         cfg.PeerAddrs,
-			VNodes:        cfg.VNodes,
 			Store:         st,
 			Registry:      cfg.Registry,
 			Recorder:      cfg.Recorder,

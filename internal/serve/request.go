@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"wsstudy/internal/core"
@@ -18,9 +17,6 @@ import (
 type RequestV1 struct {
 	Options core.Options
 	Format  core.Format
-	// Deprecations lists warnings about accepted-but-deprecated
-	// parameters; the caller surfaces them as a Deprecation header.
-	Deprecations []string
 }
 
 // recognizedParams names every query parameter the v1 surface accepts,
@@ -36,13 +32,11 @@ func recognizedParams() []string {
 // decodeRequestV1 parses and validates a request's query string.
 // Unknown and repeated parameters are rejected — a misspelled
 // opt.cahce must fail loudly, not silently key a default-configured
-// result. The bare scale parameter (the pre-sweep API) is accepted as
-// a deprecated alias for opt.scale. extra lists endpoint-specific
-// parameters to accept (the grain endpoint's data_bytes); their values
-// are read by the caller.
+// result. extra lists endpoint-specific parameters to accept (the grain
+// endpoint's data_bytes); their values are read by the caller.
 func (s *Server) decodeRequestV1(r *http.Request, extra ...string) (RequestV1, error) {
 	q := r.URL.Query()
-	known := map[string]bool{"scale": true}
+	known := map[string]bool{}
 	for _, p := range recognizedParams() {
 		known[p] = true
 	}
@@ -62,16 +56,6 @@ func (s *Server) decodeRequestV1(r *http.Request, extra ...string) (RequestV1, e
 	req := RequestV1{
 		Options: core.Options{Scale: s.cfg.DefaultScale, Timeout: s.cfg.ComputeTimeout},
 	}
-	if raw := q.Get("scale"); raw != "" {
-		if q.Get("opt."+core.AxisScale) != "" {
-			return RequestV1{}, fmt.Errorf("scale and opt.scale both set; use opt.scale")
-		}
-		if err := req.Options.SetAxis(core.AxisScale, raw); err != nil {
-			return RequestV1{}, err
-		}
-		req.Deprecations = append(req.Deprecations,
-			`the bare "scale" parameter is deprecated; use "opt.scale"`)
-	}
 	for _, f := range core.AxisFields() {
 		if raw := q.Get("opt." + f); raw != "" {
 			if err := req.Options.SetAxis(f, raw); err != nil {
@@ -86,28 +70,6 @@ func (s *Server) decodeRequestV1(r *http.Request, extra ...string) (RequestV1, e
 	req.Format = format
 	return req, nil
 }
-
-// applyDeprecations surfaces accepted-but-deprecated parameters:
-// Deprecation marks the request (RFC 9745 form), Sunset names the
-// API version that will drop the alias, and the serve.deprecated
-// counter tracks remaining traffic so removal can be data-driven.
-func (s *Server) applyDeprecations(w http.ResponseWriter, req RequestV1) {
-	if len(req.Deprecations) == 0 {
-		return
-	}
-	w.Header().Set("Deprecation", "@"+strconv.FormatInt(deprecationEpoch, 10))
-	w.Header().Set("Sunset", deprecationSunset)
-	s.deprecated.Inc()
-}
-
-const (
-	// deprecationEpoch is when the bare scale parameter was
-	// deprecated (the sweep API release), as a Unix timestamp for the
-	// Deprecation header.
-	deprecationEpoch int64 = 1754611200 // 2025-08-08
-	// deprecationSunset is the earliest date the alias may be removed.
-	deprecationSunset = "Sat, 08 Aug 2026 00:00:00 GMT"
-)
 
 // negotiateFormat picks the rendering: an explicit ?format= wins, then
 // the Accept header (text/csv, text/plain, application/json), then JSON.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/obs"
 	"wsstudy/internal/store"
@@ -42,7 +43,7 @@ func TestHealthzDegradedStore(t *testing.T) {
 	if err := json.Unmarshal([]byte(body(t, resp)), &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "degraded" || h.Store.Disk.State != store.StateDegraded {
+	if h.Status != "degraded" || h.Store.Disk.State != breaker.StateDegraded {
 		t.Errorf("healthz = %+v, want overall degraded with a degraded disk", h)
 	}
 	if h.Store.Disk.Reason == "" {

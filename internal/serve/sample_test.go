@@ -6,14 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"wsstudy/internal/obs"
 	"wsstudy/internal/store"
 )
 
 // Coverage for the opt.sample axis on the HTTP surface: validation
 // through the one typed decoder, key separation, sweep-lattice
-// acceptance, and the /v1/sweeps deprecation-header fix (bare ?scale=
-// used to bypass applyDeprecations on the sweep routes).
+// acceptance, and query validation on the /v1/sweeps routes.
 
 // TestOptSampleValidation: every malformed sample rate answers 400 with
 // the standard envelope; a valid rate computes and caches under its own
@@ -105,37 +103,16 @@ func TestSweepSampleAxis(t *testing.T) {
 	decodeEnvelope(t, badResp)
 }
 
-// TestSweepRoutesApplyDeprecations pins the fix for the ?scale=
-// loophole: the sweep routes used to skip query decoding entirely, so a
-// bare ?scale= rode along with neither validation nor the Deprecation
-// and Sunset headers the experiment routes answer. All /v1/sweeps
-// routes now run the one typed decoder.
-func TestSweepRoutesApplyDeprecations(t *testing.T) {
-	rec := obs.New()
-	hs, _ := newSweepServer(t, rec, t.TempDir())
-
-	resp := get(t, hs.URL+"/v1/sweeps?scale=quick", nil)
-	body(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("list with bare scale status = %d", resp.StatusCode)
+// TestSweepRoutesValidateQuery: the /v1/sweeps routes run the one typed
+// decoder, so unknown and malformed parameters fail loudly there
+// instead of being ignored.
+func TestSweepRoutesValidateQuery(t *testing.T) {
+	hs, _ := newSweepServer(t, nil, t.TempDir())
+	for _, q := range []string{"speed=fast", "opt.sample=3"} {
+		resp := get(t, hs.URL+"/v1/sweeps?"+q, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s on /v1/sweeps status = %d, want 400", q, resp.StatusCode)
+		}
+		decodeEnvelope(t, resp)
 	}
-	if resp.Header.Get("Deprecation") == "" || resp.Header.Get("Sunset") == "" {
-		t.Errorf("bare ?scale= on /v1/sweeps answered without Deprecation/Sunset: %v", resp.Header)
-	}
-	if got := rec.Snapshot().Counter(obs.ServeDeprecated); got != 1 {
-		t.Errorf("%s = %d, want 1", obs.ServeDeprecated, got)
-	}
-
-	// Unknown and malformed parameters now fail loudly on sweep routes
-	// instead of being ignored.
-	resp = get(t, hs.URL+"/v1/sweeps?speed=fast", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown parameter on /v1/sweeps status = %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
-	resp = get(t, hs.URL+"/v1/sweeps?opt.sample=3", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("opt.sample=3 on /v1/sweeps status = %d, want 400", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
 }

@@ -13,10 +13,10 @@
 // Query parameters flow through one typed decoder (RequestV1):
 // ?format= picks the rendering (else the Accept header), ?opt.<axis>=
 // sets any canonical Options axis (opt.scale, opt.cache, opt.line,
-// opt.assoc, opt.pes, opt.problem), unknown parameters are rejected
-// with 400, and the pre-v1.1 bare ?scale= survives as a deprecated
-// alias answered with a Deprecation header. Every error, on every
-// endpoint, is the same JSON envelope {error, status, retry_after?}.
+// opt.assoc, opt.pes, opt.problem, opt.sample), and unknown or repeated
+// parameters — the retired bare ?scale= included — are rejected with
+// 400. Every error, on every endpoint, is the same JSON envelope
+// {error, status, retry_after?}.
 //
 // Because results are content-addressed, the report ETag is derived
 // from the store key — known before any computation happens, so a
@@ -66,9 +66,9 @@ type Config struct {
 	// Recorder receives request instrumentation (latency histogram,
 	// request/429/304/5xx counters). Nil disables it.
 	Recorder *obs.Recorder
-	// DefaultScale applies when a request has no ?scale= parameter.
-	// The server defaults to ScaleQuick — interactive latency first;
-	// clients opt into paper-scale runs with ?scale=full.
+	// DefaultScale applies when a request has no ?opt.scale= parameter.
+	// `wsstudy serve` sets ScaleQuick — interactive latency first;
+	// clients opt into paper-scale runs with ?opt.scale=full.
 	DefaultScale core.Scale
 	// RequestTimeout, when positive, bounds each request's context; an
 	// expired request answers 504 while the underlying computation
@@ -104,9 +104,9 @@ type Server struct {
 	warmMu  sync.Mutex
 	warming map[store.Key]bool
 
-	requests, busy, notModified, errs, deprecated *obs.Counter
-	internalReqs, internalComputing               *obs.Counter
-	latency                                       *obs.Histogram
+	requests, busy, notModified, errs *obs.Counter
+	internalReqs, internalComputing   *obs.Counter
+	latency                           *obs.Histogram
 }
 
 // New builds a Server around cfg.Store.
@@ -130,7 +130,6 @@ func New(cfg Config) (*Server, error) {
 		busy:              rec.Counter(obs.ServeBusy),
 		notModified:       rec.Counter(obs.ServeNotModified),
 		errs:              rec.Counter(obs.ServeErrors),
-		deprecated:        rec.Counter(obs.ServeDeprecated),
 		internalReqs:      rec.Counter(obs.ClusterInternalRequests),
 		internalComputing: rec.Counter(obs.ClusterInternalComputing),
 		latency:           rec.Histogram(obs.ServeRequestWall),
@@ -370,7 +369,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := s.cfg.Store.Health()
 	resp := healthResponse{Status: "ok", Store: h}
 	status := http.StatusOK
-	if h.Disk.State == store.StateDegraded || h.Capture.State == store.StateDegraded {
+	if h.Degraded() {
 		resp.Status = "degraded"
 	}
 	if s.cfg.Cluster != nil {
@@ -418,7 +417,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	opt, format := req.Options, req.Format
 
 	key := store.KeyFor(e.ID, opt)
@@ -509,7 +507,6 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	opt := req.Options
 
 	etag := suiteEtag(s.list, opt)

@@ -144,7 +144,7 @@ func TestReportJSONAndConditional(t *testing.T) {
 	var execs atomic.Int64
 	rec := obs.New()
 	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), rec)
-	url := hs.URL + "/v1/experiments/inst/report?scale=quick"
+	url := hs.URL + "/v1/experiments/inst/report?opt.scale=quick"
 
 	resp := get(t, url, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -194,7 +194,7 @@ func TestReportJSONAndConditional(t *testing.T) {
 	}
 
 	// A different scale is different content: different ETag.
-	respFull := get(t, hs.URL+"/v1/experiments/inst/report?scale=full", nil)
+	respFull := get(t, hs.URL+"/v1/experiments/inst/report?opt.scale=full", nil)
 	body(t, respFull)
 	if respFull.Header.Get("Etag") == etag {
 		t.Errorf("quick and full share an ETag")
@@ -206,7 +206,7 @@ func TestReportJSONAndConditional(t *testing.T) {
 func TestFormatNegotiation(t *testing.T) {
 	var execs atomic.Int64
 	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), nil)
-	base := hs.URL + "/v1/experiments/inst/report?scale=quick"
+	base := hs.URL + "/v1/experiments/inst/report?opt.scale=quick"
 
 	jsonETag := ""
 	{
@@ -241,7 +241,7 @@ func TestFormatNegotiation(t *testing.T) {
 		body(t, resp)
 	}
 	{
-		resp := get(t, hs.URL+"/v1/experiments/inst/report?scale=mega", nil)
+		resp := get(t, hs.URL+"/v1/experiments/inst/report?opt.scale=mega", nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("unknown scale status = %d, want 400", resp.StatusCode)
 		}
@@ -302,7 +302,7 @@ func TestBackpressure429(t *testing.T) {
 func TestSuiteEndpoint(t *testing.T) {
 	var execs atomic.Int64
 	_, hs := newTestServer(t, store.Config{}, testRegistry(&execs, nil, nil), nil)
-	resp := get(t, hs.URL+"/v1/suite?scale=quick", nil)
+	resp := get(t, hs.URL+"/v1/suite?opt.scale=quick", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -321,7 +321,7 @@ func TestSuiteEndpoint(t *testing.T) {
 		t.Fatalf("suite doc = %+v", doc)
 	}
 
-	rep := get(t, hs.URL+"/v1/experiments/inst/report?scale=quick", nil)
+	rep := get(t, hs.URL+"/v1/experiments/inst/report?opt.scale=quick", nil)
 	body(t, rep)
 	if rep.Header.Get("Etag") != doc.Results[0].ETag {
 		t.Errorf("suite etag %q != report etag %q", doc.Results[0].ETag, rep.Header.Get("Etag"))

@@ -66,12 +66,10 @@ func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	req, err := s.decodeRequestV1(r)
-	if err != nil {
+	if _, err := s.decodeRequestV1(r); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	var spec sweep.Spec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -100,12 +98,10 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	req, err := s.decodeRequestV1(r)
-	if err != nil {
+	if _, err := s.decodeRequestV1(r); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	resp := sweepListResponse{Sweeps: []sweepListEntry{}}
 	for _, id := range eng.List() {
 		st, ok := eng.Get(id)
@@ -128,12 +124,10 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	req, err := s.decodeRequestV1(r)
-	if err != nil {
+	if _, err := s.decodeRequestV1(r); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	st, ok := eng.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown sweep %q (re-POST its spec to resume it)", r.PathValue("id"))
@@ -152,12 +146,10 @@ func (s *Server) handleSweepGrain(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	req, err := s.decodeRequestV1(r, "data_bytes")
-	if err != nil {
+	if _, err := s.decodeRequestV1(r, "data_bytes"); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyDeprecations(w, req)
 	dataBytes := uint64(defaultGrainDataBytes)
 	if raw := r.URL.Query().Get("data_bytes"); raw != "" {
 		v, err := strconv.ParseUint(raw, 10, 64)

@@ -1,116 +1,21 @@
 package store
 
-import (
-	"sync"
-	"time"
+import "wsstudy/internal/breaker"
 
-	"wsstudy/internal/obs"
-)
-
-// Subsystem states reported by Health. A subsystem that is "off" was
-// never configured (no persistence dir, capture disabled); "degraded"
-// means recent operations failed and the store is bypassing it —
-// computing without its cache — until a probe succeeds.
-const (
-	StateOK       = "ok"
-	StateDegraded = "degraded"
-	StateOff      = "off"
-)
-
-// SubsystemStatus is one subsystem's health at a point in time.
-type SubsystemStatus struct {
-	State  string `json:"state"` // "ok" | "degraded" | "off"
-	Reason string `json:"reason,omitempty"`
-}
-
-// Health is the store's per-subsystem status, served by /healthz.
+// Health is the store's per-subsystem status, served by /healthz. A
+// subsystem that is "off" was never configured (no persistence dir,
+// capture disabled); "degraded" means recent operations failed and the
+// store is bypassing it — computing without its cache — until a probe
+// succeeds.
 type Health struct {
-	Disk    SubsystemStatus `json:"disk"`
-	Capture SubsystemStatus `json:"capture"`
-	Closed  bool            `json:"closed,omitempty"`
+	Disk    breaker.Status `json:"disk"`
+	Capture breaker.Status `json:"capture"`
+	Closed  bool           `json:"closed,omitempty"`
 }
 
-// subsystem is the degradation state machine shared by the store's
-// optional caches (disk persistence, kernel-trace capture). Operations
-// consult available() first: a healthy subsystem is used normally; a
-// degraded one is bypassed — the store keeps answering, just without
-// that cache — until the cooldown expires, after which the next
-// operation doubles as a probe. The probe's outcome either heals the
-// subsystem or re-arms the cooldown, so a persistent failure costs one
-// probe per interval instead of one failure per request.
-type subsystem struct {
-	name     string
-	enabled  bool
-	cooldown time.Duration
-	counter  *obs.Counter // store.degraded, shared across subsystems
-
-	mu       sync.Mutex
-	degraded bool
-	reason   string
-	retryAt  time.Time
-}
-
-// available reports whether the next operation should use the
-// subsystem: always when healthy, and once per cooldown when degraded
-// (the probe).
-func (sub *subsystem) available() bool {
-	if sub == nil || !sub.enabled {
-		return false
-	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if !sub.degraded {
-		return true
-	}
-	if time.Now().Before(sub.retryAt) {
-		return false
-	}
-	// Probe window: let one operation through; it heals or re-degrades.
-	return true
-}
-
-// degrade marks the subsystem failed, starting (or restarting) the
-// bypass cooldown. Only the transition into degraded counts on the
-// store.degraded counter, so the metric counts incidents, not skipped
-// operations.
-func (sub *subsystem) degrade(reason string) {
-	if sub == nil || !sub.enabled {
-		return
-	}
-	sub.mu.Lock()
-	wasHealthy := !sub.degraded
-	sub.degraded = true
-	sub.reason = reason
-	sub.retryAt = time.Now().Add(sub.cooldown)
-	sub.mu.Unlock()
-	if wasHealthy {
-		sub.counter.Inc()
-	}
-}
-
-// heal clears the degradation after a successful probe (or any
-// successful operation).
-func (sub *subsystem) heal() {
-	if sub == nil || !sub.enabled {
-		return
-	}
-	sub.mu.Lock()
-	sub.degraded = false
-	sub.reason = ""
-	sub.mu.Unlock()
-}
-
-// status snapshots the subsystem for Health.
-func (sub *subsystem) status() SubsystemStatus {
-	if sub == nil || !sub.enabled {
-		return SubsystemStatus{State: StateOff}
-	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.degraded {
-		return SubsystemStatus{State: StateDegraded, Reason: sub.reason}
-	}
-	return SubsystemStatus{State: StateOK}
+// Degraded reports whether either subsystem is currently degraded.
+func (h Health) Degraded() bool {
+	return h.Disk.State == breaker.StateDegraded || h.Capture.State == breaker.StateDegraded
 }
 
 // Health reports the store's per-subsystem status. A degraded
@@ -122,8 +27,8 @@ func (s *Store) Health() Health {
 	closed := s.closed
 	s.mu.Unlock()
 	return Health{
-		Disk:    s.disk.status(),
-		Capture: s.capt.status(),
+		Disk:    s.disk.Status(),
+		Capture: s.capt.Status(),
 		Closed:  closed,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/capture"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
@@ -65,7 +66,7 @@ func TestQuarantineCorruptDiskFile(t *testing.T) {
 	if err != nil || len(fresh) == 0 {
 		t.Errorf("key not re-persisted after quarantine: %v", err)
 	}
-	if h := s.Health(); h.Disk.State != StateOK {
+	if h := s.Health(); h.Disk.State != breaker.StateOK {
 		t.Errorf("quarantine degraded the disk subsystem: %+v", h.Disk)
 	}
 }
@@ -110,7 +111,7 @@ func TestDiskSaveFaultDegradesAndHeals(t *testing.T) {
 	if _, err := os.Stat(s.diskPath(res.Key)); !os.IsNotExist(err) {
 		t.Error("faulted save still produced a file")
 	}
-	if h := s.Health(); h.Disk.State != StateDegraded {
+	if h := s.Health(); h.Disk.State != breaker.StateDegraded {
 		t.Fatalf("disk state = %q, want degraded", h.Disk.State)
 	}
 	m := rec.Snapshot()
@@ -134,7 +135,7 @@ func TestDiskSaveFaultDegradesAndHeals(t *testing.T) {
 	if _, err := os.Stat(s.diskPath(res2.Key)); err != nil {
 		t.Errorf("probe save did not persist: %v", err)
 	}
-	if h := s.Health(); h.Disk.State != StateOK {
+	if h := s.Health(); h.Disk.State != breaker.StateOK {
 		t.Errorf("disk did not heal after a successful probe: %+v", h.Disk)
 	}
 }
@@ -165,7 +166,7 @@ func TestDiskLoadFaultDegrades(t *testing.T) {
 	if execs.Load() != 2 {
 		t.Errorf("unreadable disk should force a recompute; execs = %d", execs.Load())
 	}
-	if h := s2.Health(); h.Disk.State != StateDegraded {
+	if h := s2.Health(); h.Disk.State != breaker.StateDegraded {
 		t.Errorf("disk state = %q, want degraded after a read fault", h.Disk.State)
 	}
 	if rec.Snapshot().Counter(obs.StoreDegraded) != 1 {
@@ -262,7 +263,7 @@ func captureExp(id string) core.Experiment {
 					for i := 0; i < 32; i++ {
 						for j := range block {
 							// Scattered addresses defeat delta encoding, so the
-							// recording spans several 32 KB WST2 frames.
+							// recording spans several 32 KB frames.
 							block[j] = trace.Ref{PE: j % 4, Addr: uint64((epoch*32+i)*1024+j) * 2654435761, Size: 8}
 						}
 						bc.Refs(block)
@@ -303,7 +304,7 @@ func TestCaptureFaultDegradesToLiveRun(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("capture fault not degraded away: %v", err)
 	}
-	if h := s.Health(); h.Capture.State != StateDegraded {
+	if h := s.Health(); h.Capture.State != breaker.StateDegraded {
 		t.Errorf("capture state = %q, want degraded", h.Capture.State)
 	}
 	m := rec.Snapshot()
@@ -317,11 +318,11 @@ func TestCaptureFaultDegradesToLiveRun(t *testing.T) {
 
 func TestHealthReflectsConfiguration(t *testing.T) {
 	s1, _ := newRobustStore(t, Config{CaptureBytes: -1})
-	if h := s1.Health(); h.Disk.State != StateOff || h.Capture.State != StateOff {
+	if h := s1.Health(); h.Disk.State != breaker.StateOff || h.Capture.State != breaker.StateOff {
 		t.Errorf("unconfigured subsystems = %+v, want off/off", h)
 	}
 	s2, _ := newRobustStore(t, Config{Dir: t.TempDir()})
-	if h := s2.Health(); h.Disk.State != StateOK || h.Capture.State != StateOK {
+	if h := s2.Health(); h.Disk.State != breaker.StateOK || h.Capture.State != breaker.StateOK {
 		t.Errorf("configured subsystems = %+v, want ok/ok", h)
 	}
 	s2.Close(context.Background())

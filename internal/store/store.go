@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"wsstudy/internal/breaker"
 	"wsstudy/internal/capture"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
@@ -156,9 +157,9 @@ type Store struct {
 	waiters  int
 	inflight sync.WaitGroup
 
-	// disk and capt are the degradation state machines for the two
-	// optional caches; see health.go.
-	disk, capt *subsystem
+	// disk and capt guard the two optional caches; nil means the cache
+	// is not configured.
+	disk, capt *breaker.Breaker
 
 	hits, misses, coalesced, evictions, diskHits *obs.Counter
 	queueDepth, bytesGauge                       *obs.Gauge
@@ -210,6 +211,13 @@ func New(cfg Config) (*Store, error) {
 		capStore = capture.New(cfg.CaptureBytes)
 	}
 	degraded := rec.Counter(obs.StoreDegraded)
+	var disk, capt *breaker.Breaker
+	if cfg.Dir != "" {
+		disk = breaker.New(cfg.ProbeInterval, degraded)
+	}
+	if capStore != nil {
+		capt = breaker.New(cfg.ProbeInterval, degraded)
+	}
 	return &Store{
 		cfg:         cfg,
 		slots:       make(chan struct{}, cfg.Slots),
@@ -217,8 +225,8 @@ func New(cfg Config) (*Store, error) {
 		cancel:      cancel,
 		entries:     make(map[Key]*lruEntry),
 		flights:     make(map[Key]*flight),
-		disk:        &subsystem{name: "disk", enabled: cfg.Dir != "", cooldown: cfg.ProbeInterval, counter: degraded},
-		capt:        &subsystem{name: "capture", enabled: capStore != nil, cooldown: cfg.ProbeInterval, counter: degraded},
+		disk:        disk,
+		capt:        capt,
 		hits:        rec.Counter(obs.StoreHits),
 		misses:      rec.Counter(obs.StoreMisses),
 		coalesced:   rec.Counter(obs.StoreCoalesced),
@@ -452,19 +460,19 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 				return err
 			}
 			runCtx := s.base
-			captured := s.capt.available()
+			captured := s.capt.Allow()
 			if !captured {
 				runCtx = capture.With(runCtx, nil)
 			}
 			r, err := core.Execute(runCtx, e, opt)
 			if err != nil {
 				if errors.Is(err, capture.ErrReplay) || errors.Is(err, trace.ErrCorrupt) {
-					s.capt.degrade(err.Error())
+					s.capt.Fail(err.Error())
 				}
 				return err
 			}
 			if captured {
-				s.capt.heal()
+				s.capt.Succeed()
 			}
 			rep = r
 			return nil
@@ -553,7 +561,7 @@ func (s *Store) diskPath(key Key) string {
 // quarantined — renamed to <name>.quarantine so it stops shadowing the
 // key but stays on disk for inspection — and the experiment recomputes.
 func (s *Store) loadDisk(key Key, id string) (*Result, bool) {
-	if !s.disk.available() {
+	if !s.disk.Allow() {
 		return nil, false
 	}
 	raw, err := os.ReadFile(s.diskPath(key))
@@ -562,10 +570,10 @@ func (s *Store) loadDisk(key Key, id string) (*Result, bool) {
 	}
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.disk.heal()
+			s.disk.Succeed()
 			return nil, false
 		}
-		s.disk.degrade("load: " + err.Error())
+		s.disk.Fail("load: " + err.Error())
 		return nil, false
 	}
 	res, derr := DecodeResult(key, id, raw)
@@ -573,7 +581,7 @@ func (s *Store) loadDisk(key Key, id string) (*Result, bool) {
 		s.quarantine(key)
 		return nil, false
 	}
-	s.disk.heal()
+	s.disk.Succeed()
 	return res, true
 }
 
@@ -601,13 +609,15 @@ func DecodeResult(key Key, id string, raw []byte) (*Result, error) {
 // quarantine moves a corrupt or schema-stale persisted report aside so
 // it stops shadowing its key. The rename is atomic on the same
 // filesystem; a rename failure degrades the disk subsystem instead,
-// which equally stops the file from being consulted.
+// which equally stops the file from being consulted. A rename that
+// works proves the disk answers, so it settles a pending probe.
 func (s *Store) quarantine(key Key) {
 	path := s.diskPath(key)
 	if err := os.Rename(path, path+".quarantine"); err != nil {
-		s.disk.degrade("quarantine: " + err.Error())
+		s.disk.Fail("quarantine: " + err.Error())
 		return
 	}
+	s.disk.Succeed()
 	s.cfg.Recorder.Counter(obs.StoreQuarantined).Inc()
 }
 
@@ -616,31 +626,31 @@ func (s *Store) quarantine(key Key) {
 // (skipping further writes until a probe heals it) but never fails the
 // computation that produced res.
 func (s *Store) saveDisk(res *Result) {
-	if !s.disk.available() {
+	if !s.disk.Allow() {
 		return
 	}
 	if err := fpDiskSave.Inject(s.base); err != nil {
-		s.disk.degrade("save: " + err.Error())
+		s.disk.Fail("save: " + err.Error())
 		return
 	}
 	tmp, err := os.CreateTemp(s.cfg.Dir, "tmp-*")
 	if err != nil {
-		s.disk.degrade("save: " + err.Error())
+		s.disk.Fail("save: " + err.Error())
 		return
 	}
 	_, werr := tmp.Write(res.JSON)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		s.disk.degrade(fmt.Sprintf("save: write %v, close %v", werr, cerr))
+		s.disk.Fail(fmt.Sprintf("save: write %v, close %v", werr, cerr))
 		return
 	}
 	if err := os.Rename(tmp.Name(), s.diskPath(res.Key)); err != nil {
 		os.Remove(tmp.Name())
-		s.disk.degrade("save: " + err.Error())
+		s.disk.Fail("save: " + err.Error())
 		return
 	}
-	s.disk.heal()
+	s.disk.Succeed()
 }
 
 // Close drains the store: new Gets fail with ErrClosed, in-flight

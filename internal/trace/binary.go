@@ -62,9 +62,9 @@ import (
 //	[payload] DEFLATE stream of the record bytes
 //
 // The checksum covers the uncompressed bytes, so it detects both storage
-// damage and a decompressor disagreement. Replay reads all three
-// versions; NewWriter emits WST2, NewCompressedWriter emits WST3 (use
-// NewWriterV1 only to produce legacy streams for compatibility testing).
+// damage and a decompressor disagreement. NewWriter emits WST3, the one
+// format still written; Replay reads all three versions, because traces
+// already on disk use WST1 and WST2.
 
 var (
 	magicV1 = [4]byte{'W', 'S', 'T', '1'}
@@ -88,7 +88,7 @@ const (
 // trace integrity failures with errors.Is(err, ErrCorrupt).
 var ErrCorrupt = errors.New("trace: corrupt trace")
 
-// Failpoints at the WST2 framing seams, evaluated once per ~32 KiB
+// Failpoints at the framing seams, evaluated once per ~32 KiB
 // chunk (never per reference, so the disarmed cost stays off the hot
 // path). fpWriteChunk fires after the CRC is computed, so corrupt and
 // partial modes produce exactly what bad storage would: a frame whose
@@ -121,18 +121,16 @@ func (e *CorruptError) Error() string {
 // Unwrap ties the error to the ErrCorrupt sentinel.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// Writer streams references to an io.Writer in binary form. It implements
-// Consumer and EpochConsumer, so it can sit anywhere a simulator can —
-// including inside a Tee next to one. Call Flush when done and check its
-// error (or Err at any point): a full disk or closed pipe otherwise
-// truncates the trace silently.
+// Writer streams references to an io.Writer as a WST3 binary trace. It
+// implements Consumer and EpochConsumer, so it can sit anywhere a
+// simulator can — including inside a Tee next to one. Call Flush when
+// done and check its error (or Err at any point): a full disk or closed
+// pipe otherwise truncates the trace silently.
 type Writer struct {
 	w        *bufio.Writer
-	v1       bool
-	compress bool          // WST3: DEFLATE each sealed chunk payload
-	fw       *flate.Writer // reused across chunks (compress only)
-	comp     bytes.Buffer  // compressed payload scratch (compress only)
-	chunk    []byte        // pending WST2/WST3 chunk payload
+	fw       *flate.Writer // reused across chunks
+	comp     bytes.Buffer  // compressed payload scratch
+	chunk    []byte        // pending chunk payload (uncompressed records)
 	chunkRec uint32        // references (not epochs) in the pending chunk
 	lastAddr map[int]uint64
 	curPE    int
@@ -143,41 +141,21 @@ type Writer struct {
 	records  uint64
 }
 
-// NewWriter starts a WST2 binary trace on w.
-func NewWriter(w io.Writer) (*Writer, error) { return newWriter(w, magicV2) }
-
-// NewCompressedWriter starts a WST3 binary trace on w: the same framed,
-// checksummed record stream as WST2 with each chunk payload DEFLATEd.
-// Replay decodes it transparently.
-func NewCompressedWriter(w io.Writer) (*Writer, error) { return newWriter(w, magicV3) }
-
-// NewWriterV1 starts a legacy WST1 trace on w. The legacy format has no
-// integrity framing; it exists so compatibility with old traces stays
-// testable. New captures should use NewWriter.
-func NewWriterV1(w io.Writer) (*Writer, error) { return newWriter(w, magicV1) }
-
-func newWriter(w io.Writer, magic [4]byte) (*Writer, error) {
+// NewWriter starts a WST3 binary trace on w.
+func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.Write(magicV3[:]); err != nil {
 		return nil, fmt.Errorf("trace: writing magic: %w", err)
 	}
-	t := &Writer{
-		w:        bw,
-		v1:       magic == magicV1,
-		compress: magic == magicV3,
-		lastAddr: make(map[int]uint64),
-		curPE:    -1,
+	t := &Writer{w: bw, lastAddr: make(map[int]uint64), curPE: -1}
+	// BestSpeed: the delta-varint records are already dense with
+	// repeated header bytes and small deltas, so the fast setting
+	// captures most of the ratio at a fraction of the CPU.
+	fw, err := flate.NewWriter(&t.comp, flate.BestSpeed)
+	if err != nil {
+		return nil, fmt.Errorf("trace: flate init: %w", err)
 	}
-	if t.compress {
-		// BestSpeed: the delta-varint records are already dense with
-		// repeated header bytes and small deltas, so the fast setting
-		// captures most of the ratio at a fraction of the CPU.
-		fw, err := flate.NewWriter(&t.comp, flate.BestSpeed)
-		if err != nil {
-			return nil, fmt.Errorf("trace: flate init: %w", err)
-		}
-		t.fw = fw
-	}
+	t.fw = fw
 	return t, nil
 }
 
@@ -234,18 +212,18 @@ func (t *Writer) encode(r Ref) {
 		hdr |= 4
 	}
 	t.started = true
-	t.appendByte(hdr)
+	t.chunk = append(t.chunk, hdr)
 	if hdr&2 != 0 {
-		t.appendUvarint(uint64(r.PE))
+		t.chunk = binary.AppendUvarint(t.chunk, uint64(r.PE))
 		t.curPE = r.PE
 	}
 	if hdr&4 != 0 {
-		t.appendUvarint(uint64(r.Size))
+		t.chunk = binary.AppendUvarint(t.chunk, uint64(r.Size))
 		t.curSize = r.Size
 	}
 	prev := t.lastAddr[r.PE]
 	delta := int64(r.Addr) - int64(prev)
-	t.appendUvarint(zigzag(delta))
+	t.chunk = binary.AppendUvarint(t.chunk, zigzag(delta))
 	t.lastAddr[r.PE] = r.Addr
 	t.records++
 	t.chunkRec++
@@ -261,20 +239,20 @@ func (t *Writer) BeginEpoch(n int) {
 		t.err = errors.New("trace: write after Flush")
 		return
 	}
-	t.appendByte(8)
-	t.appendUvarint(uint64(n))
+	t.chunk = append(t.chunk, 8)
+	t.chunk = binary.AppendUvarint(t.chunk, uint64(n))
 	t.maybeSealChunk()
 }
 
 // Flush finalizes the trace — the pending chunk and the end-of-trace
 // marker are written — and drains buffered output. Call it exactly once
-// when done and check its error; a WST2 stream without its end marker
+// when done and check its error; a stream without its end marker
 // replays as truncated, which is the point.
 func (t *Writer) Flush() error {
 	if t.err != nil {
 		return t.err
 	}
-	if !t.v1 && !t.finished {
+	if !t.finished {
 		t.sealChunk()
 		var zero [4]byte
 		if _, err := t.w.Write(zero[:]); err != nil {
@@ -289,80 +267,43 @@ func (t *Writer) Flush() error {
 	return t.err
 }
 
-// appendByte and appendUvarint buffer into the pending chunk (WST2) or
-// write through (WST1).
-func (t *Writer) appendByte(b byte) {
-	if t.v1 {
-		if err := t.w.WriteByte(b); err != nil {
-			t.err = err
-		}
-		return
-	}
-	t.chunk = append(t.chunk, b)
-}
-
-func (t *Writer) appendUvarint(v uint64) {
-	if t.v1 {
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], v)
-		if _, err := t.w.Write(buf[:n]); err != nil {
-			t.err = err
-		}
-		return
-	}
-	t.chunk = binary.AppendUvarint(t.chunk, v)
-}
-
 func (t *Writer) maybeSealChunk() {
-	if !t.v1 && len(t.chunk) >= chunkTarget {
+	if len(t.chunk) >= chunkTarget {
 		t.sealChunk()
 	}
 }
 
-// sealChunk frames and writes the pending payload: length, record count,
-// CRC-32C, payload (WST2), or compressed length, uncompressed length,
-// record count, CRC-32C of the uncompressed bytes, DEFLATE payload (WST3).
+// sealChunk frames and writes the pending payload: compressed length,
+// uncompressed length, record count, CRC-32C of the uncompressed bytes,
+// then the DEFLATE payload.
 func (t *Writer) sealChunk() {
 	if t.err != nil || len(t.chunk) == 0 {
 		return
 	}
-	crc := crc32.Checksum(t.chunk, crcTable)
-	var hdr []byte
-	payload := t.chunk
-	if t.compress {
-		t.comp.Reset()
-		t.fw.Reset(&t.comp)
-		if _, err := t.fw.Write(t.chunk); err != nil {
-			t.err = err
-			return
-		}
-		if err := t.fw.Close(); err != nil {
-			t.err = err
-			return
-		}
-		payload = t.comp.Bytes()
-		var h [16]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(h[4:8], uint32(len(t.chunk)))
-		binary.LittleEndian.PutUint32(h[8:12], t.chunkRec)
-		binary.LittleEndian.PutUint32(h[12:16], crc)
-		hdr = h[:]
-	} else {
-		var h [12]byte
-		binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(h[4:8], t.chunkRec)
-		binary.LittleEndian.PutUint32(h[8:12], crc)
-		hdr = h[:]
+	t.comp.Reset()
+	t.fw.Reset(&t.comp)
+	if _, err := t.fw.Write(t.chunk); err != nil {
+		t.err = err
+		return
 	}
+	if err := t.fw.Close(); err != nil {
+		t.err = err
+		return
+	}
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t.comp.Len()))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(t.chunk)))
+	binary.LittleEndian.PutUint32(hdr[8:12], t.chunkRec)
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(t.chunk, crcTable))
 	// Injected write faults: the header (with its already-computed CRC)
 	// still goes out, then the payload is corrupted, truncated, or the
 	// write errors — the storage failures the framing exists to catch.
-	payload, ferr := fpWriteChunk.InjectBytes(nil, payload)
+	payload, ferr := fpWriteChunk.InjectBytes(nil, t.comp.Bytes())
 	if ferr != nil {
 		t.err = ferr
 		return
 	}
-	if _, err := t.w.Write(hdr); err != nil {
+	if _, err := t.w.Write(hdr[:]); err != nil {
 		t.err = err
 		return
 	}
@@ -378,7 +319,7 @@ func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // decodeState carries the cross-record decoder context; it persists across
-// WST2 chunk boundaries because the writer's delta state does too.
+// chunk boundaries because the writer's delta state does too.
 type decodeState struct {
 	lastAddr map[int]uint64
 	curPE    int
@@ -408,8 +349,9 @@ func (b *byteCounter) ReadByte() (byte, error) {
 // markers go to sink's BeginEpoch when it implements EpochConsumer). It
 // returns the number of references replayed.
 //
-// WST2 streams are integrity-checked chunk by chunk: truncation, checksum
-// mismatches and malformed frames return a *CorruptError (matching
+// Framed streams (WST2, WST3) are integrity-checked chunk by chunk:
+// truncation, checksum mismatches and malformed frames return a
+// *CorruptError (matching
 // errors.Is(err, ErrCorrupt)) carrying the byte offset of the failure and
 // the number of references already delivered. A corrupt chunk delivers
 // nothing — references reach sink only after their chunk's CRC verifies.

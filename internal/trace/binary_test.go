@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,23 @@ type collect struct {
 
 func (c *collect) Ref(r Ref)        { c.refs = append(c.refs, r) }
 func (c *collect) BeginEpoch(n int) { c.epochs = append(c.epochs, n) }
+
+// fixture reads a trace from testdata. Nothing writes WST1 or WST2; these
+// fixtures were recorded by the writers of those formats and keep their
+// decoders under test, because traces already on disk use them:
+//
+//	wst1.trace       BeginEpoch(0), then genRefs(3000)
+//	wst2.trace       genRefs(12000), BeginEpoch(i/100) before every 100th ref
+//	fuzz-wst1.trace  300 strided refs (FuzzReplay's WST1 seed)
+//	fuzz-wst2.trace  BeginEpoch(0), then 300 strided refs (its WST2 seed)
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func TestBinaryRoundTripBasic(t *testing.T) {
 	var buf bytes.Buffer
@@ -111,7 +129,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 
 func TestBinaryCompactness(t *testing.T) {
 	// A strided per-PE stream should encode near 2 bytes per reference
-	// (header + 1-byte delta).
+	// (header + 1-byte delta) before compression.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
 	const refs = 10000
@@ -122,9 +140,9 @@ func TestBinaryCompactness(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	perRef := float64(buf.Len()) / refs
-	if perRef > 2.1 {
-		t.Fatalf("%.2f bytes/ref, want ~2 (delta coding broken?)", perRef)
+	_, raw := frameSizes(t, buf.Bytes())
+	if perRef := float64(raw) / refs; perRef > 2.1 {
+		t.Fatalf("%.2f record bytes/ref, want ~2 (delta coding broken?)", perRef)
 	}
 }
 
@@ -151,8 +169,9 @@ func TestReplayErrors(t *testing.T) {
 	}
 }
 
-// buildV2 encodes refs (an epoch every 100) and returns the bytes.
-func buildV2(t *testing.T, refs []Ref) []byte {
+// encode writes refs (an epoch every 100) with NewWriter and returns
+// the bytes.
+func encode(t *testing.T, refs []Ref) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -195,7 +214,7 @@ func genRefs(n int) []Ref {
 // boundaries: a stream far larger than one chunk round-trips exactly.
 func TestBinaryMultiChunk(t *testing.T) {
 	in := genRefs(60000) // ~8 bytes/ref >> 32 KB chunk target
-	enc := buildV2(t, in)
+	enc := encode(t, in)
 	if len(enc) < 2*chunkTarget {
 		t.Fatalf("trace only %d bytes; does not exercise multiple chunks", len(enc))
 	}
@@ -214,9 +233,36 @@ func TestBinaryMultiChunk(t *testing.T) {
 	}
 }
 
+// TestReplayV2Fixture: a trace the WST2 writer recorded replays to
+// exactly the references and epochs it was given.
+func TestReplayV2Fixture(t *testing.T) {
+	in := genRefs(12000)
+	var out collect
+	n, err := Replay(bytes.NewReader(fixture(t, "wst2.trace")), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != uint64(len(in)) || len(out.refs) != len(in) {
+		t.Fatalf("replayed %d refs (delivered %d), want %d", n, len(out.refs), len(in))
+	}
+	for i := range in {
+		if out.refs[i] != in[i] {
+			t.Fatalf("ref %d: got %+v want %+v", i, out.refs[i], in[i])
+		}
+	}
+	if len(out.epochs) != len(in)/100 {
+		t.Fatalf("%d epochs, want %d", len(out.epochs), len(in)/100)
+	}
+	for i, e := range out.epochs {
+		if e != i {
+			t.Fatalf("epoch %d numbered %d", i, e)
+		}
+	}
+}
+
 func TestReplayTruncatedV2(t *testing.T) {
-	in := genRefs(60000)
-	enc := buildV2(t, in)
+	in := genRefs(12000)
+	enc := fixture(t, "wst2.trace")
 	for _, cut := range []int{
 		len(enc) - 4,  // end-of-trace marker gone
 		len(enc) / 2,  // mid-chunk
@@ -249,8 +295,8 @@ func TestReplayTruncatedV2(t *testing.T) {
 }
 
 func TestReplayBitFlipV2(t *testing.T) {
-	in := genRefs(60000)
-	enc := buildV2(t, in)
+	in := genRefs(12000)
+	enc := fixture(t, "wst2.trace")
 	// Flip one bit inside each of a few chunk payloads. Offsets beyond the
 	// first chunk land mid-stream; all must be caught by the CRC before any
 	// ref from the damaged chunk is delivered.
@@ -281,21 +327,9 @@ func TestReplayBitFlipV2(t *testing.T) {
 
 func TestReplayV1Compat(t *testing.T) {
 	in := genRefs(3000)
-	var buf bytes.Buffer
-	w, err := NewWriterV1(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BeginEpoch(0)
-	for _, r := range in {
-		w.Ref(r)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := fixture(t, "wst1.trace")
 	if !bytes.HasPrefix(enc, []byte("WST1")) {
-		t.Fatalf("legacy writer produced magic %q", enc[:4])
+		t.Fatalf("fixture magic %q, want WST1", enc[:4])
 	}
 
 	var out collect
@@ -310,6 +344,9 @@ func TestReplayV1Compat(t *testing.T) {
 		if out.refs[i] != in[i] {
 			t.Fatalf("ref %d mismatch", i)
 		}
+	}
+	if len(out.epochs) != 1 || out.epochs[0] != 0 {
+		t.Fatalf("epochs = %v, want [0]", out.epochs)
 	}
 
 	// Mid-record truncation of a legacy stream is still a typed error with
@@ -353,43 +390,44 @@ func TestCorruptErrorRendering(t *testing.T) {
 }
 
 // FuzzReplay throws arbitrary bytes at the decoder: it must never panic,
-// and on WST2 input must never deliver a ref that CRC framing did not
-// cover (checked implicitly by not crashing; integrity is covered by the
+// and it must never deliver a ref that CRC framing did not cover
+// (checked implicitly by not crashing; integrity is covered by the
 // directed tests above).
 func FuzzReplay(f *testing.F) {
-	// Valid WST2.
-	var v2 bytes.Buffer
-	w, _ := NewWriter(&v2)
-	w.BeginEpoch(0)
-	for i := 0; i < 300; i++ {
-		w.Ref(Ref{PE: i % 4, Addr: uint64(i) * 8, Size: 8, Kind: Kind(i % 2)})
-	}
-	w.Flush()
-	f.Add(v2.Bytes())
-	// Truncated WST2.
-	f.Add(v2.Bytes()[:v2.Len()/2])
-	// Bit-flipped WST2.
-	flipped := append([]byte(nil), v2.Bytes()...)
-	flipped[v2.Len()/2] ^= 0x40
+	// WST2 and WST1 as their writers recorded them: valid, truncated and
+	// bit-flipped.
+	v2 := fixture(f, "fuzz-wst2.trace")
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
+	flipped := append([]byte(nil), v2...)
+	flipped[len(v2)/2] ^= 0x40
 	f.Add(flipped)
-	// Valid WST1.
-	var v1 bytes.Buffer
-	w1, _ := NewWriterV1(&v1)
-	for i := 0; i < 300; i++ {
-		w1.Ref(Ref{PE: i % 4, Addr: uint64(i) * 16, Size: 8, Kind: Kind(i % 2)})
-	}
-	w1.Flush()
-	f.Add(v1.Bytes())
-	// Truncated and bit-flipped WST1.
-	f.Add(v1.Bytes()[:v1.Len()-2])
-	flipped1 := append([]byte(nil), v1.Bytes()...)
-	flipped1[v1.Len()/3] ^= 0x04
+	v1 := fixture(f, "fuzz-wst1.trace")
+	f.Add(v1)
+	f.Add(v1[:len(v1)-2])
+	flipped1 := append([]byte(nil), v1...)
+	flipped1[len(v1)/3] ^= 0x04
 	f.Add(flipped1)
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add([]byte("WST2"))
 	f.Add([]byte("WST1"))
 	f.Add([]byte("nope"))
+	// WST3 as NewWriter writes it: valid, truncated, bit-flipped, and a
+	// frame declaring one byte less than it inflates to.
+	var v3 bytes.Buffer
+	w, _ := NewWriter(&v3)
+	w.BeginEpoch(0)
+	for i := 0; i < 300; i++ {
+		w.Ref(Ref{PE: i % 4, Addr: uint64(i) * 8, Size: 8, Kind: Kind(i % 2)})
+	}
+	w.Flush()
+	f.Add(v3.Bytes())
+	f.Add(v3.Bytes()[:v3.Len()/2])
+	flipped3 := append([]byte(nil), v3.Bytes()...)
+	flipped3[v3.Len()/2] ^= 0x40
+	f.Add(flipped3)
+	f.Add(shortLength(v3.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out collect

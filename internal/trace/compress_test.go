@@ -2,39 +2,47 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
 
 // WST3 coverage: the compressed framed format must round-trip exactly,
-// shrink the encoding it wraps, and fail as loudly as WST2 under
+// shrink the records it carries, and fail as loudly as WST2 under
 // truncation and bit damage — the CRC covers the uncompressed bytes, so
 // storage corruption is caught whether it breaks the DEFLATE stream or
 // survives decompression.
 
-// buildV3 encodes refs (with an epoch marker every 100) as a WST3 stream.
-func buildV3(t *testing.T, refs []Ref) []byte {
+// frameSizes walks a WST3 stream's frame headers and totals the
+// compressed payload bytes and the record bytes they inflate to.
+func frameSizes(t *testing.T, enc []byte) (compressed, raw int) {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewCompressedWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.HasPrefix(enc, magicV3[:]) {
+		t.Fatalf("magic %q, want WST3", enc[:4])
 	}
-	for i, r := range refs {
-		if i%100 == 0 {
-			w.BeginEpoch(i / 100)
+	for off := 4; ; {
+		plen := int(binary.LittleEndian.Uint32(enc[off:]))
+		if plen == 0 {
+			return compressed, raw
 		}
-		w.Ref(r)
+		compressed += plen
+		raw += int(binary.LittleEndian.Uint32(enc[off+4:]))
+		off += 16 + plen
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+}
+
+// shortLength returns a copy of a WST3 stream whose first frame declares
+// one byte less than it inflates to.
+func shortLength(enc []byte) []byte {
+	bad := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(bad[8:12], binary.LittleEndian.Uint32(bad[8:12])-1)
+	return bad
 }
 
 func TestCompressedRoundTrip(t *testing.T) {
 	in := genRefs(60000) // spans several chunks
-	enc := buildV3(t, in)
+	enc := encode(t, in)
 	var out collect
 	n, err := Replay(bytes.NewReader(enc), &out)
 	if err != nil {
@@ -53,39 +61,36 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompressedSmaller pins the point of WST3: the same stream encodes
-// materially smaller than WST2. Strided kernel traces are the common
-// case, and their delta-varint records compress well.
+// TestCompressedSmaller pins the point of WST3: a strided stream's frames
+// carry less than half the bytes of the delta-varint records inside
+// them. Strided kernel traces are the common case, and their records
+// compress well.
 func TestCompressedSmaller(t *testing.T) {
 	var refs []Ref
 	for i := 0; i < 100000; i++ {
 		refs = append(refs, Ref{PE: i / 25000, Addr: uint64(i%25000) * 8, Size: 8, Kind: Read})
 	}
-	v2 := buildV2(t, refs)
-	v3 := buildV3(t, refs)
-	if len(v3) >= len(v2)/2 {
-		t.Fatalf("WST3 %d bytes vs WST2 %d: compression buys less than 2x on a strided stream", len(v3), len(v2))
+	enc := encode(t, refs)
+	if compressed, raw := frameSizes(t, enc); compressed >= raw/2 {
+		t.Fatalf("frames carry %d bytes for %d record bytes: compression buys less than 2x on a strided stream", compressed, raw)
 	}
-	var a, b collect
-	if _, err := Replay(bytes.NewReader(v2), &a); err != nil {
+	var out collect
+	if _, err := Replay(bytes.NewReader(enc), &out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(bytes.NewReader(v3), &b); err != nil {
-		t.Fatal(err)
+	if len(out.refs) != len(refs) {
+		t.Fatalf("replayed %d refs, want %d", len(out.refs), len(refs))
 	}
-	if len(a.refs) != len(b.refs) {
-		t.Fatalf("formats decode different counts: %d vs %d", len(a.refs), len(b.refs))
-	}
-	for i := range a.refs {
-		if a.refs[i] != b.refs[i] {
-			t.Fatalf("formats diverge at ref %d", i)
+	for i := range refs {
+		if out.refs[i] != refs[i] {
+			t.Fatalf("ref %d: got %+v want %+v", i, out.refs[i], refs[i])
 		}
 	}
 }
 
 func TestCompressedTruncated(t *testing.T) {
 	in := genRefs(60000)
-	enc := buildV3(t, in)
+	enc := encode(t, in)
 	for _, cut := range []int{
 		len(enc) - 4,  // end-of-trace marker gone
 		len(enc) / 2,  // mid-chunk
@@ -118,7 +123,7 @@ func TestCompressedTruncated(t *testing.T) {
 // error, and only verified-chunk prefixes may reach the sink.
 func TestCompressedBitFlip(t *testing.T) {
 	in := genRefs(60000)
-	enc := buildV3(t, in)
+	enc := encode(t, in)
 	for _, pos := range []int{4 + 16 + 10, len(enc) / 3, 2 * len(enc) / 3} {
 		bad := append([]byte(nil), enc...)
 		bad[pos] ^= 0x10
@@ -140,5 +145,20 @@ func TestCompressedBitFlip(t *testing.T) {
 				t.Fatalf("flip at %d: delivered ref %d corrupted", pos, i)
 			}
 		}
+	}
+}
+
+// TestCompressedShortLength: a frame that declares one byte less than it
+// inflates to lies about its content, and must fail as corrupt before
+// any of its records reach the sink.
+func TestCompressedShortLength(t *testing.T) {
+	var out collect
+	_, err := Replay(bytes.NewReader(shortLength(encode(t, genRefs(1000)))), &out)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "declared length") {
+		t.Fatalf("err = %v, want a CorruptError about the declared length", err)
+	}
+	if len(out.refs) != 0 {
+		t.Fatalf("%d refs delivered from a frame that failed verification", len(out.refs))
 	}
 }

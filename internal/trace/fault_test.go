@@ -9,7 +9,7 @@ import (
 	"wsstudy/internal/fault"
 )
 
-// Failpoint coverage for the trace layer: the WST2 write and replay
+// Failpoint coverage for the trace layer: the frame write and replay
 // chunk seams and the kernel cancellation poll.
 
 func writeRefs(t *testing.T, w *Writer, n int) {
