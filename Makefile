@@ -1,11 +1,12 @@
 GO ?= go
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR16.json
 
 .PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
 
 # Tier-1 gate: everything must build, `go vet ./...` clean, be
 # gofmt-formatted, pass under -race, the batched pipeline must remain
-# bit-identical to the legacy per-Ref path (short-mode equivalence run),
+# bit-identical to the legacy per-Ref path and per-PE cache probes to
+# dedicated per-configuration machines (short-mode equivalence run),
 # the v1 HTTP server must boot, answer /v1/experiments with valid
 # JSON, and drain (serve-smoke), a parameter-lattice sweep must run
 # end to end over HTTP including its grain advice (sweep-smoke), the
@@ -43,11 +44,13 @@ fmt-check:
 # Recorder attached, the same per-stage metric counters — as per-Ref
 # delivery for every kernel (see internal/core/equivalence_test.go).
 # The sharded fanout is held to Tee on every kernel (including under
-# GOMAXPROCS=1 and 2), and the region-sharded machine engine to the serial
+# GOMAXPROCS=1 and 2), the region-sharded machine engine to the serial
 # memory system (bit-identical statistics, run-to-run determinism, and
-# byte-identical sharing1024 reports at GOMAXPROCS=1 and 2).
+# byte-identical sharing1024 reports at GOMAXPROCS=1 and 2), and cache
+# probes on one machine to a dedicated machine per cache configuration
+# on both engines.
 equivalence:
-	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne' ./internal/core/
+	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,
@@ -106,7 +109,7 @@ fuzz:
 # swing several percent run to run; compare medians, not single samples.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkSuiteTraceReuse|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
+		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
 		-benchmem -benchtime 10x -count 3 -json . ./internal/cluster/ > $(BENCH_OUT)
 	@grep -o '"Output":"[^"]*ns/op[^"]*"' $(BENCH_OUT) | head -40
 
@@ -114,5 +117,5 @@ bench:
 # compiles and runs end to end without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkSuiteTraceReuse|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
+		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
 		-benchtime 1x -count 1 . ./internal/cluster/ > /dev/null

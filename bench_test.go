@@ -19,7 +19,6 @@ import (
 	"wsstudy/internal/apps/lu"
 	"wsstudy/internal/apps/volrend"
 	"wsstudy/internal/cache"
-	"wsstudy/internal/capture"
 	"wsstudy/internal/coherence"
 	"wsstudy/internal/core"
 	"wsstudy/internal/memsys"
@@ -452,40 +451,6 @@ func BenchmarkSampledProfiler(b *testing.B) {
 			b.ReportMetric(float64(p.SampledLines()), "sampledlines")
 		})
 	}
-}
-
-// BenchmarkSuiteTraceReuse measures end-to-end RunSuite wall-clock over
-// the two experiments sharing a Barnes-Hut configuration, with the
-// kernel-trace capture disabled vs enabled (fresh store per iteration, so
-// each op pays one record and one replay). Workers=1 keeps the
-// comparison a pure capture effect.
-func BenchmarkSuiteTraceReuse(b *testing.B) {
-	var exps []core.Experiment
-	for _, id := range []string{"fig6", "fig6dm"} {
-		e, ok := core.Find(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	run := func(b *testing.B, ctx context.Context) {
-		rep := core.RunSuite(ctx, exps, core.SuiteOptions{
-			Options: core.Options{Scale: core.ScaleQuick}, Workers: 1,
-		})
-		if s := rep.FailureSummary(); s != "" {
-			b.Fatal(s)
-		}
-	}
-	b.Run("capture=off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, capture.With(context.Background(), nil))
-		}
-	})
-	b.Run("capture=on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, capture.With(context.Background(), capture.New(0)))
-		}
-	})
 }
 
 // Kernel micro-benchmarks: raw application throughput, untraced and

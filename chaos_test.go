@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"wsstudy/internal/capture"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/memsys"
@@ -24,8 +23,8 @@ import (
 )
 
 // The chaos suite: randomized, seeded fault schedules over the full
-// stack (store persistence, compute retry, kernel-trace capture, trace
-// framing, experiment execution), checked against three invariants:
+// stack (store persistence, compute retry, experiment execution, the
+// sharded machine, sweeps), checked against three invariants:
 //
 //  1. Termination — every Get returns, fault or not.
 //  2. Integrity — a Get that claims success returns bytes identical to
@@ -43,9 +42,9 @@ import (
 var chaosSeeds = []int64{1, 2, 3, 4, 5}
 
 // chaosExperiments builds deterministic synthetic experiments that
-// between them traverse every chaos seam: pure model computation, and a
-// kernel whose multi-frame reference stream rides trace encoding and
-// the capture store.
+// between them traverse every chaos seam: pure model computation, a
+// kernel streaming references in blocks and epochs, and the sharded and
+// sampled machines.
 func chaosExperiments() []Experiment {
 	model := func(id string) Experiment {
 		return Experiment{
@@ -71,28 +70,15 @@ func chaosExperiments() []Experiment {
 		Run: func(ctx context.Context, opt Options) (*Report, error) {
 			var refs uint64
 			sink := chaosSink{refs: &refs}
-			err := capture.From(ctx).Run(ctx, "chaos/kernel", 2, sink, func(out trace.Consumer) error {
-				ec, _ := out.(trace.EpochConsumer)
-				bc := trace.AdaptConsumer(out)
-				block := make([]trace.Ref, 1024)
-				for epoch := 0; epoch < 2; epoch++ {
-					if ec != nil {
-						ec.BeginEpoch(epoch)
+			block := make([]trace.Ref, 1024)
+			for epoch := 0; epoch < 2; epoch++ {
+				sink.BeginEpoch(epoch)
+				for i := 0; i < 16; i++ {
+					for j := range block {
+						block[j] = trace.Ref{PE: j % 4, Addr: uint64((epoch*16+i)*1024+j) * 2654435761, Size: 8}
 					}
-					for i := 0; i < 16; i++ {
-						for j := range block {
-							// Scattered addresses defeat delta encoding so the
-							// recording spans several frames — a corrupt
-							// frame fault has room to land.
-							block[j] = trace.Ref{PE: j % 4, Addr: uint64((epoch*16+i)*1024+j) * 2654435761, Size: 8}
-						}
-						bc.Refs(block)
-					}
+					sink.Refs(block)
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
 			r := &Report{Title: "chaos kernel"}
 			r.AddNote("refs=%d", refs)
@@ -247,10 +233,6 @@ func chaosPlan(t *testing.T, rng *rand.Rand) []string {
 		{"store.disk.load", []fault.Mode{fault.ModeError, fault.ModeCorrupt}},
 		{"store.disk.save", []fault.Mode{fault.ModeError}},
 		{"store.compute", []fault.Mode{fault.ModeError}},
-		{"capture.commit", []fault.Mode{fault.ModeError}},
-		{"capture.replay", []fault.Mode{fault.ModeError}},
-		{"trace.write.chunk", []fault.Mode{fault.ModeCorrupt}},
-		{"trace.replay.chunk", []fault.Mode{fault.ModeCorrupt, fault.ModeDelay}},
 		{"core.execute", []fault.Mode{fault.ModeError, fault.ModePanic, fault.ModeDelay}},
 		{"coherence.shard.apply", []fault.Mode{fault.ModeError, fault.ModeDelay}},
 		{"memsys.shard.publish", []fault.Mode{fault.ModeError, fault.ModeDelay}},

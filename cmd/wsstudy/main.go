@@ -10,9 +10,8 @@
 //	wsstudy sweep -experiment gridlu -axis cache=4096,16384 -axis pes=64,256
 //	                             # run a parameter-lattice sweep (-resume dir
 //	                             # revives landed cells across crashes)
-//	wsstudy <id> [-quick]        # run one (fig2, fig4, fig5, fig6,
-//	                             # fig6dm, fig7, table1, table2,
-//	                             # machines, grain, scalingbh)
+//	wsstudy <id> [-quick]        # run one experiment, by an id from
+//	                             # `wsstudy list`
 //
 // -quick shrinks the simulated problems so the full suite finishes in
 // seconds; without it the simulations run at the largest feasible scale

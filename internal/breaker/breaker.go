@@ -1,7 +1,6 @@
 // Package breaker is the one degrade/bypass/probe/heal state machine a
 // serving node runs in front of every dependency it can route around:
-// the store's disk persistence and kernel-trace capture, and each
-// cluster peer.
+// the store's disk persistence and each cluster peer.
 //
 // A healthy breaker lets every operation through. A failure degrades
 // it: callers bypass the dependency (computing without that cache, or
@@ -21,7 +20,7 @@ import (
 )
 
 // States reported by Status. "off" is a nil breaker: the dependency was
-// never configured (no persistence dir, capture disabled).
+// never configured (no persistence dir).
 const (
 	StateOK       = "ok"
 	StateDegraded = "degraded"

@@ -195,3 +195,22 @@ type Cache interface {
 	// cold-start exclusion works: warm up, reset, then measure.
 	ResetStats()
 }
+
+// New builds a concrete cache of capacityLines lines: fully associative
+// LRU when assoc is 0, otherwise assoc-way set associative (1 is
+// direct-mapped). Invalid geometries return an error wrapping
+// ErrInvalidConfig.
+func New(capacityLines, assoc int, lineSize uint32) (Cache, error) {
+	if assoc == 0 {
+		c, err := NewLRU(capacityLines, lineSize)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	c, err := NewSetAssoc(capacityLines, assoc, lineSize)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}

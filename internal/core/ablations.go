@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"wsstudy/internal/apps/barneshut"
 	"wsstudy/internal/apps/volrend"
+	"wsstudy/internal/cache"
 	"wsstudy/internal/memsys"
 	"wsstudy/internal/trace"
 	"wsstudy/internal/workingset"
@@ -15,37 +15,9 @@ import (
 // Section 6.4 gestures at, and a line-size study for the two irregular
 // applications (the paper measures double-word lines only; real caches
 // must pick a line size, and spatial locality differs sharply between the
-// 2-byte-voxel renderer and the record-structured N-body code).
-
-// runBHConcrete runs a Barnes-Hut configuration under ctx against concrete
-// per-PE caches and returns PE 1's read miss rate.
-func runBHConcrete(ctx context.Context, o Options, n, steps, warm, capacityLines, assoc int, lineSize uint32) (float64, error) {
-	bodies := barneshut.Plummer(n, 42)
-	sys, err := openMachine(ctx, o, memsys.Config{
-		PEs: 4, LineSize: lineSize, CacheCapacity: capacityLines, Assoc: assoc,
-		ProfilePE: -1, WarmupEpochs: warm,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer sys.Close()
-	sim, err := barneshut.NewSimulation(bodies, barneshut.Config{
-		Theta: 1.0, Quadrupole: true, Eps: 0.05, DT: 0.003, P: 4,
-	}, trace.WithContext(ctx, sys))
-	if err != nil {
-		return 0, err
-	}
-	for s := 0; s < steps; s++ {
-		if _, err := sim.Step(); err != nil {
-			return 0, err
-		}
-	}
-	if err := sys.Close(); err != nil {
-		return 0, err
-	}
-	st := sys.Cache(1).Stats()
-	return st.ReadMissRate(), nil
-}
+// 2-byte-voxel renderer and the record-structured N-body code). Each
+// reads one processor, so its caches ride as probes on that processor
+// (memsys.Config.Probes) rather than filling whole machines.
 
 func expAssoc() Experiment {
 	return Experiment{
@@ -67,19 +39,33 @@ func expAssoc() Experiment {
 			}{
 				{"direct-mapped", 1}, {"2-way", 2}, {"4-way", 4}, {"fully assoc", 0},
 			}
+			// One kernel run feeds every (associativity, size) cache as a
+			// probe on PE 1.
+			probes := make([][]cache.Cache, len(assocs))
+			var all []cache.Cache
+			for i, a := range assocs {
+				var err error
+				if probes[i], err = newProbes(sizes, a.ways, 8); err != nil {
+					return nil, err
+				}
+				all = append(all, probes[i]...)
+			}
+			if _, err := runBHTraced(ctx, o, memsys.Config{
+				PEs: 4, LineSize: 8, WarmupEpochs: warm,
+				Probes: map[int][]cache.Cache{1: all},
+			}, n, steps, 1.0); err != nil {
+				return nil, err
+			}
 			fig := Figure{
 				Title:  fmt.Sprintf("Barnes-Hut n=%d theta=1.0 p=4, 8 B lines", n),
 				XLabel: "cache size", YLabel: "read miss rate",
 			}
-			for _, a := range assocs {
+			for i, a := range assocs {
 				series := Series{Label: a.label}
-				for _, bytes := range sizes {
-					rate, err := runBHConcrete(ctx, o, n, steps, warm, int(bytes/8), a.ways, 8)
-					if err != nil {
-						return nil, err
-					}
+				for j, bytes := range sizes {
+					st := probes[i][j].Stats()
 					series.Points = append(series.Points, workingset.Point{
-						CacheBytes: bytes, MissRate: rate,
+						CacheBytes: bytes, MissRate: st.ReadMissRate(),
 					})
 				}
 				fig.Series = append(fig.Series, series)
@@ -120,24 +106,36 @@ func expLineSize() Experiment {
 			lineSizes := []uint32{8, 16, 32, 64}
 			const cacheBytes = 16 << 10
 
+			// The directory runs at the line size, so each line size gets
+			// its own machine, with one probe on the processor it reads.
 			bh := Series{Label: "Barnes-Hut"}
 			for _, ls := range lineSizes {
-				rate, err := runBHConcrete(ctx, o, bhN, frames, 1, int(cacheBytes/int(ls)), 0, ls)
+				probe, err := newProbes([]uint64{cacheBytes}, 0, ls)
 				if err != nil {
 					return nil, err
 				}
+				if _, err := runBHTraced(ctx, o, memsys.Config{
+					PEs: 4, LineSize: ls, WarmupEpochs: 1,
+					Probes: map[int][]cache.Cache{1: probe},
+				}, bhN, frames, 1.0); err != nil {
+					return nil, err
+				}
+				st := probe[0].Stats()
 				bh.Points = append(bh.Points, workingset.Point{
-					CacheBytes: uint64(ls), MissRate: rate,
+					CacheBytes: uint64(ls), MissRate: st.ReadMissRate(),
 				})
 			}
 
 			vr := Series{Label: "volume rendering"}
 			for _, ls := range lineSizes {
 				vol := volrend.SyntheticHead(volEdge, volEdge, volEdge*7/8)
+				probe, err := newProbes([]uint64{cacheBytes}, 0, ls)
+				if err != nil {
+					return nil, err
+				}
 				sys, err := openMachine(ctx, o, memsys.Config{
-					PEs: 4, LineSize: ls, Dist: memsys.Interleaved,
-					CacheCapacity: int(cacheBytes / int(ls)), ProfilePE: -1,
-					WarmupEpochs: 1,
+					PEs: 4, LineSize: ls, WarmupEpochs: 1,
+					Probes: map[int][]cache.Cache{0: probe},
 				})
 				if err != nil {
 					return nil, err
@@ -158,7 +156,7 @@ func expLineSize() Experiment {
 				if err := sys.Close(); err != nil {
 					return nil, err
 				}
-				st := sys.Cache(0).Stats()
+				st := probe[0].Stats()
 				vr.Points = append(vr.Points, workingset.Point{
 					CacheBytes: uint64(ls), MissRate: st.ReadMissRate(),
 				})

@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"wsstudy/internal/apps/barneshut"
+	"wsstudy/internal/cache"
 	"wsstudy/internal/memsys"
-	"wsstudy/internal/trace"
 	"wsstudy/internal/workingset"
 )
 
@@ -30,35 +29,21 @@ func expBus() Experiment {
 			}
 			const lineSize = 32 // bus machines use wide lines
 			sizes := []uint64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+			// One kernel run feeds a probe per size on PE 1.
+			probes, err := newProbes(sizes, 0, lineSize)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := runBHTraced(ctx, o, memsys.Config{
+				PEs: 4, LineSize: lineSize, WarmupEpochs: 1,
+				Probes: map[int][]cache.Cache{1: probes},
+			}, n, steps, 1.0); err != nil {
+				return nil, err
+			}
 			series := Series{Label: "Barnes-Hut"}
 			var rows [][]string
-			for _, bytes := range sizes {
-				bodies := barneshut.Plummer(n, 42)
-				sys, err := openMachine(ctx, o, memsys.Config{
-					PEs: 4, LineSize: lineSize,
-					CacheCapacity: int(bytes / lineSize), ProfilePE: -1,
-					WarmupEpochs: 1,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sim, err := barneshut.NewSimulation(bodies, barneshut.Config{
-					Theta: 1.0, Quadrupole: true, Eps: 0.05, DT: 0.003, P: 4,
-				}, trace.WithContext(ctx, sys))
-				if err != nil {
-					sys.Close()
-					return nil, err
-				}
-				for s := 0; s < steps; s++ {
-					if _, err := sim.Step(); err != nil {
-						sys.Close()
-						return nil, err
-					}
-				}
-				if err := sys.Close(); err != nil {
-					return nil, err
-				}
-				st := sys.Cache(1).Stats()
+			for i, bytes := range sizes {
+				st := probes[i].Stats()
 				traffic := float64(st.Misses()+st.Writebacks) * lineSize
 				perK := traffic / float64(st.Accesses) * 1000
 				series.Points = append(series.Points, workingset.Point{

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"wsstudy/internal/obs"
 	"wsstudy/internal/workingset"
 )
 
@@ -95,25 +97,52 @@ func TestFig6MeasuredShape(t *testing.T) {
 	}
 }
 
+// quickReport runs experiment id at quick scale with a Recorder
+// attached, so the report carries the run's metrics, once per test
+// binary: the claim tests below share the runs.
+func quickReport(t *testing.T, id string) *Report {
+	t.Helper()
+	quickReports.Lock()
+	defer quickReports.Unlock()
+	if rep, ok := quickReports.m[id]; ok {
+		return rep
+	}
+	e, ok := Find(id)
+	if !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	rep, err := Execute(obs.With(context.Background(), obs.New()), e, Options{Scale: ScaleQuick})
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	quickReports.m[id] = rep
+	return rep
+}
+
+var quickReports = struct {
+	sync.Mutex
+	m map[string]*Report
+}{m: map[string]*Report{}}
+
 // TestFig6DMRatio checks the Section 6.4 reproduction: direct-mapped needs
 // a substantially larger cache than fully associative (paper: ~3x).
 func TestFig6DMRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	e, _ := Find("fig6dm")
-	rep, err := e.Run(context.Background(), Options{Scale: ScaleQuick})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
+	rep := quickReport(t, "fig6dm")
+	ratio := 0.0
 	for _, n := range rep.Notes {
-		if strings.Contains(n, "ratio") {
-			found = true
+		if _, after, ok := strings.Cut(n, "(ratio "); ok {
+			fmt.Sscanf(after, "%gx", &ratio)
 		}
 	}
-	if !found {
+	if ratio == 0 {
 		t.Fatalf("fig6dm did not report a size ratio; notes: %v", rep.Notes)
+	}
+	// Quick scale measures 4.0x.
+	if ratio < 2 || ratio > 8 {
+		t.Errorf("§6.4 claim (direct-mapped needs ~3x the fully associative size) broken: ratio %.1fx outside [2, 8]", ratio)
 	}
 	// The DM curve should sit at or above the FA curve everywhere.
 	fa := rep.Figures[0].Series[0]
@@ -127,6 +156,81 @@ func TestFig6DMRatio(t *testing.T) {
 	if worse < len(fa.Points)*3/4 {
 		t.Errorf("direct-mapped better than fully associative at %d/%d sizes",
 			len(fa.Points)-worse, len(fa.Points))
+	}
+}
+
+// TestAssocOrdering pins the associativity sweep's claim: more
+// associativity never needs a larger cache to reach the target miss rate,
+// from direct-mapped through 2-way and 4-way to fully associative (quick
+// scale: 128 KB, 128 KB, 64 KB, 32 KB).
+func TestAssocOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	rep := quickReport(t, "assoc")
+	series := rep.Figures[0].Series
+	if len(series) != 4 {
+		t.Fatalf("assoc reports %d series, want 4", len(series))
+	}
+	fa := workingset.Curve{Points: series[3].Points}
+	target := fa.RateAt(64*1024) * 1.25
+	prev := uint64(0)
+	for i, s := range series {
+		at := firstSizeBelow(s, target)
+		if at == 0 {
+			t.Errorf("assoc claim broken: %s never reaches rate %.4g", s.Label, target)
+			continue
+		}
+		if i > 0 && prev > 0 && at > prev {
+			t.Errorf("assoc claim (more associativity never needs a larger cache) broken: %s needs %s, %s needs %s",
+				s.Label, workingset.FormatBytes(at), series[i-1].Label, workingset.FormatBytes(prev))
+		}
+		prev = at
+	}
+}
+
+// TestBusTrafficFalls pins the Section 1 claim the bus experiment
+// reproduces: per-processor bus traffic never grows with cache size, and
+// growing the cache from 4 KB to 1 MB cuts it at least 10x (quick scale:
+// 32x).
+func TestBusTrafficFalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	pts := quickReport(t, "bus").Figures[0].Series[0].Points
+	for i := 1; i < len(pts); i++ {
+		if pts[i].MissRate > pts[i-1].MissRate {
+			t.Errorf("§1 claim (bus traffic falls with cache size) broken: %s carries %.4g bytes/1000 refs, more than %s's %.4g",
+				workingset.FormatBytes(pts[i].CacheBytes), pts[i].MissRate,
+				workingset.FormatBytes(pts[i-1].CacheBytes), pts[i-1].MissRate)
+		}
+	}
+	first, last := pts[0], pts[len(pts)-1]
+	if last.MissRate <= 0 || first.MissRate/last.MissRate < 10 {
+		t.Errorf("§1 claim (big caches cut bus traffic) broken: %s -> %s cuts traffic %.3gx, want >= 10x",
+			workingset.FormatBytes(first.CacheBytes), workingset.FormatBytes(last.CacheBytes), first.MissRate/last.MissRate)
+	}
+}
+
+// TestProbeExperimentsRunKernelOnce pins the probe design: fig6dm, assoc
+// and bus compare cache geometries as probes on one machine, so each runs
+// the shared quick Barnes-Hut kernel exactly once and all three deliver
+// the same reference count.
+func TestProbeExperimentsRunKernelOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	var want uint64
+	for _, id := range []string{"fig6dm", "assoc", "bus"} {
+		refs := quickReport(t, id).Metrics.Counter(obs.RefsDelivered)
+		if refs == 0 {
+			t.Fatalf("%s recorded no %s", id, obs.RefsDelivered)
+		}
+		if want == 0 {
+			want = refs
+		} else if refs != want {
+			t.Errorf("%s delivered %d references, fig6dm %d: not one kernel run each", id, refs, want)
+		}
 	}
 }
 

@@ -499,3 +499,109 @@ func TestMetricsEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// probeWays are the cache geometries the probe gate attaches to PE 1,
+// all probeLines lines: direct-mapped, 4-way set associative, and fully
+// associative LRU (0).
+var probeWays = []int{1, 4, 0}
+
+const probeLines = 256
+
+// probeReference is what the probe gate compares against: a dedicated
+// serial machine per probe geometry, and a profile-only serial machine.
+type probeReference struct {
+	dedicated []cacheSnapshot // indexed like probeWays
+	prof      profSnapshot
+}
+
+var probeCaps = []int{8, 64, 512, 4096}
+
+func newProbeReference(t *testing.T, k kernelCase) probeReference {
+	t.Helper()
+	var ref probeReference
+	for _, ways := range probeWays {
+		ref.dedicated = append(ref.dedicated, cacheSnap(runPath(t, k, memsys.Config{
+			PEs: 4, LineSize: 8, CacheCapacity: probeLines, Assoc: ways, WarmupEpochs: k.warm,
+		}, mkNative)))
+	}
+	ref.prof = profSnap(runPath(t, k, memsys.Config{
+		PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: k.warm,
+	}, mkNative), 1, probeCaps)
+	return ref
+}
+
+// probesVsDedicated runs one kernel into a single machine with the given
+// shard count (0 is the serial engine) carrying one probe per probeWays
+// geometry on PE 1, plus PE 1's profiler unless probeOnly. Each probe
+// must match PE 1's cache in the dedicated machine of its geometry, the
+// directory must match every dedicated machine's, and the profiler must
+// match the profile-only machine's.
+func probesVsDedicated(t *testing.T, k kernelCase, ref probeReference, shards int, probeOnly bool) {
+	t.Helper()
+	probes := make([]cache.Cache, len(probeWays))
+	for i, ways := range probeWays {
+		var err error
+		if probes[i], err = cache.New(probeLines, ways, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := memsys.Config{
+		PEs: 4, LineSize: 8, WarmupEpochs: k.warm,
+		Probes: map[int][]cache.Cache{1: probes},
+	}
+	if !probeOnly {
+		cfg.Profile, cfg.ProfilePE = true, 1
+	}
+	m := runSharded(t, k, cfg, shards)
+	for i, ways := range probeWays {
+		want := ref.dedicated[i]
+		if got := probes[i].Stats(); got != want.Caches[1] {
+			t.Errorf("W=%d probeOnly=%v: %d-way probe diverged from a dedicated machine\nprobe:     %+v\ndedicated: %+v",
+				shards, probeOnly, ways, got, want.Caches[1])
+		}
+		if got := m.DirectoryStats(); got != want.Dir {
+			t.Errorf("W=%d probeOnly=%v: directory diverged from the %d-way dedicated machine\nprobed:    %+v\ndedicated: %+v",
+				shards, probeOnly, ways, got, want.Dir)
+		}
+	}
+	if probeOnly {
+		return
+	}
+	if got := profSnap(m, 1, probeCaps); !reflect.DeepEqual(got, ref.prof) {
+		t.Errorf("W=%d: profiler beside probes diverged from a profile-only machine\nprobed:       %+v\nprofile-only: %+v",
+			shards, got, ref.prof)
+	}
+}
+
+// TestProbesMatchDedicatedMachines proves the probe invariant the
+// cache-comparison experiments rest on: caches attached as probes to one
+// machine see exactly what the same caches see as PE 1's cache in a
+// dedicated machine per configuration — the same accesses, the same
+// invalidations, the same warm-up reset — on the serial engine and on
+// the sharded engine at one and three shards, beside a profiler or alone
+// (a probe-only sharded machine still needs a cache worker), and under
+// GOMAXPROCS=1.
+func TestProbesMatchDedicatedMachines(t *testing.T) {
+	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
+	// only start after the sequential ones (and the restore) finish.
+	t.Run("gomaxprocs=1", func(t *testing.T) {
+		withGOMAXPROCS(1, func() {
+			k := equivalenceKernels()[3] // barneshut: multi-epoch, order-sensitive
+			ref := newProbeReference(t, k)
+			probesVsDedicated(t, k, ref, 3, false)
+			probesVsDedicated(t, k, ref, 3, true)
+		})
+	})
+	for _, k := range equivalenceKernels() {
+		k := k
+		t.Run(k.name, func(t *testing.T) {
+			t.Parallel()
+			ref := newProbeReference(t, k)
+			for _, shards := range []int{0, 1, 3} {
+				probesVsDedicated(t, k, ref, shards, false)
+			}
+			probesVsDedicated(t, k, ref, 0, true)
+			probesVsDedicated(t, k, ref, 3, true)
+		})
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"wsstudy/internal/apps/lu"
 	"wsstudy/internal/apps/volrend"
 	"wsstudy/internal/cache"
-	"wsstudy/internal/capture"
 	"wsstudy/internal/cost"
 	"wsstudy/internal/grain"
 	"wsstudy/internal/machine"
@@ -310,48 +309,47 @@ func expFig5() Experiment {
 
 // ---------------------------------------------------------------- fig6
 
-// runBHTraced drives the experiments' shared Barnes-Hut configuration
-// (Plummer seed 42, quadrupole, Eps 0.05, DT 0.003) into sink — through
-// the context capture store when one is attached, so a suite runs each
-// (n, p, theta) at most once and later requests replay the recorded
-// stream, cut at their step count (fig6dm's quick run is an epoch prefix
-// of fig6's).
-func runBHTraced(ctx context.Context, n, p, steps int, theta float64, sink trace.Consumer) error {
-	key := capture.Keyf("barneshut", "n=%d p=%d theta=%g eps=0.05 dt=0.003 quad seed=42", n, p, theta)
-	return capture.From(ctx).Run(ctx, key, steps, sink, func(out trace.Consumer) error {
-		bodies := barneshut.Plummer(n, 42)
-		sim, err := barneshut.NewSimulation(bodies, barneshut.Config{
-			Theta: theta, Quadrupole: true, Eps: 0.05, DT: 0.003, P: p,
-		}, out)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < steps; s++ {
-			if _, err := sim.Step(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// runBH runs a traced Barnes-Hut configuration under ctx and returns the
-// profiler and the aggregate read count.
-func runBH(ctx context.Context, o Options, n, p, profPE, warm, steps int, theta float64) (cache.Profiler, error) {
-	sys, err := openMachine(ctx, o, memsys.Config{
-		PEs: p, LineSize: 8, Profile: true, ProfilePE: profPE, WarmupEpochs: warm,
-	})
+// runBHTraced runs the experiments' shared Barnes-Hut configuration
+// (Plummer seed 42, quadrupole, Eps 0.05, DT 0.003) with cfg.PEs
+// processors for steps steps on a machine built from cfg, and closes the
+// machine, so its statistics and cfg's probes are final on return. It is
+// the only seed-42 driver: experiments that compare cache geometries run
+// it once with a probe per geometry (memsys.Config.Probes) instead of
+// once per geometry.
+func runBHTraced(ctx context.Context, o Options, cfg memsys.Config, n, steps int, theta float64) (memsys.Machine, error) {
+	sys, err := openMachine(ctx, o, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := runBHTraced(ctx, n, p, steps, theta, trace.WithContext(ctx, sys)); err != nil {
-		sys.Close()
+	defer sys.Close()
+	sim, err := barneshut.NewSimulation(barneshut.Plummer(n, 42), barneshut.Config{
+		Theta: theta, Quadrupole: true, Eps: 0.05, DT: 0.003, P: cfg.PEs,
+	}, trace.WithContext(ctx, sys))
+	if err != nil {
 		return nil, err
+	}
+	for s := 0; s < steps; s++ {
+		if _, err := sim.Step(); err != nil {
+			return nil, err
+		}
 	}
 	if err := sys.Close(); err != nil {
 		return nil, err
 	}
-	return sys.Profiler(profPE), nil
+	return sys, nil
+}
+
+// newProbes builds one cache per size in bytes at lineSize (see
+// cache.New for ways).
+func newProbes(sizes []uint64, ways int, lineSize uint32) ([]cache.Cache, error) {
+	probes := make([]cache.Cache, len(sizes))
+	for i, bytes := range sizes {
+		var err error
+		if probes[i], err = cache.New(int(bytes/uint64(lineSize)), ways, lineSize); err != nil {
+			return nil, err
+		}
+	}
+	return probes, nil
 }
 
 func expFig6() Experiment {
@@ -366,10 +364,13 @@ func expFig6() Experiment {
 			if o.Scale == ScaleQuick {
 				n, steps = 256, 4
 			}
-			prof, err := runBH(ctx, o, n, 4, 1, 2, steps, 1.0)
+			sys, err := runBHTraced(ctx, o, memsys.Config{
+				PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: 2,
+			}, n, steps, 1.0)
 			if err != nil {
 				return nil, err
 			}
+			prof := sys.Profiler(1)
 			r := &Report{Title: "Figure 6 (Barnes-Hut working sets)"}
 			simSizes := workingset.LogSizes(64, 4<<20, 2)
 			fig := Figure{
@@ -399,78 +400,38 @@ func expFig6DM() Experiment {
 	return Experiment{
 		ID:    "fig6dm",
 		Title: "Section 6.4: direct-mapped vs fully associative caches for Barnes-Hut",
-		Description: "Runs one trace through a fully associative profiler and " +
-			"direct-mapped caches of every size concurrently (trace.Fanout) and " +
-			"reports the size needed to match the fully associative lev2WS miss " +
+		Description: "Runs one trace into one machine carrying a fully associative " +
+			"profiler and a direct-mapped cache of every size on the same processor, " +
+			"and reports the size needed to match the fully associative lev2WS miss " +
 			"rate (the paper finds about 3x).",
 		Run: func(ctx context.Context, o Options) (*Report, error) {
 			n, steps := 256, 3
 			if o.Scale != ScaleQuick {
 				n, steps = 512, 4
 			}
-			const p, pe, warm, theta = 4, 1, 1, 1.0
+			const pe = 1
 
-			// One simulation feeds every memory system at once: the fully
-			// associative profiler plus one direct-mapped system per size.
-			// The systems share no state, so each gets its own Fanout worker
-			// instead of rerunning the N-body code per cache size.
-			faSys, err := openMachine(ctx, o, memsys.Config{
-				PEs: p, LineSize: 8, Profile: true, ProfilePE: pe, WarmupEpochs: warm,
-			})
-			if err != nil {
-				return nil, err
-			}
+			// One kernel run and one directory: the fully associative
+			// profiler and a direct-mapped probe per size all observe PE 1.
 			sizes := workingset.LogSizes(1024, 1<<20, 1)
-			dmSys := make([]memsys.Machine, len(sizes))
-			defer func() {
-				faSys.Close()
-				for _, s := range dmSys {
-					if s != nil {
-						s.Close()
-					}
-				}
-			}()
-			consumers := []trace.Consumer{faSys}
-			for i, bytes := range sizes {
-				dmSys[i], err = openMachine(ctx, o, memsys.Config{
-					PEs: p, LineSize: 8, CacheCapacity: int(bytes / 8), Assoc: 1,
-					ProfilePE: -1, WarmupEpochs: warm,
-				})
-				if err != nil {
-					return nil, err
-				}
-				consumers = append(consumers, dmSys[i])
-			}
-			fan, err := trace.NewFanout(consumers...)
+			dm, err := newProbes(sizes, 1, 8)
 			if err != nil {
 				return nil, err
 			}
-			fan.Instrument(obs.From(ctx))
-			defer fan.Close()
-
-			if err := runBHTraced(ctx, n, p, steps, theta, trace.WithContext(ctx, fan)); err != nil {
+			sys, err := runBHTraced(ctx, o, memsys.Config{
+				PEs: 4, LineSize: 8, Profile: true, ProfilePE: pe, WarmupEpochs: 1,
+				Probes: map[int][]cache.Cache{pe: dm},
+			}, n, steps, 1.0)
+			if err != nil {
 				return nil, err
-			}
-			// Close is the barrier: it flushes, waits for every worker, and
-			// surfaces any consumer failure. Only then are stats safe to read.
-			if err := fan.Close(); err != nil {
-				return nil, err
-			}
-			if err := faSys.Close(); err != nil {
-				return nil, err
-			}
-			for _, s := range dmSys {
-				if err := s.Close(); err != nil {
-					return nil, err
-				}
 			}
 
-			prof := faSys.Profiler(pe)
+			prof := sys.Profiler(pe)
 			reads := float64(prof.Reads())
 			faSeries := profCurve("fully associative", prof, sizes, reads, true)
 			dmSeries := Series{Label: "direct-mapped"}
 			for i, bytes := range sizes {
-				st := dmSys[i].Cache(pe).Stats()
+				st := dm[i].Stats()
 				dmSeries.Points = append(dmSeries.Points, workingset.Point{
 					CacheBytes: bytes, MissRate: st.ReadMissRate(),
 				})

@@ -6,7 +6,6 @@ import (
 
 	"wsstudy/internal/apps/lu"
 	"wsstudy/internal/memsys"
-	"wsstudy/internal/trace"
 	"wsstudy/internal/workingset"
 )
 
@@ -17,10 +16,8 @@ import (
 // A parameter-lattice sweep (internal/sweep) enumerates Options over
 // axis values and runs one of these per cell; because every axis
 // participates in Options.Canonical, each cell has its own content
-// address, and because gridbh's kernel trace is capture-keyed by the
-// kernel configuration only (n, p, theta), cells that differ just in
-// cache geometry replay one recorded stream instead of re-running the
-// N-body code.
+// address. Each gridbh cell runs its Barnes-Hut kernel live, so cells
+// that differ only in cache geometry re-run the same kernel.
 
 // gridPoint builds the one-point "cell" figure every grid experiment
 // reports: the miss metric at exactly the requested configuration.
@@ -90,7 +87,6 @@ func expGridLU() Experiment {
 // ---------------------------------------------------------------- gridbh
 
 // expGridBH is the simulated design-space cell: one Barnes-Hut run
-// (capture-shared across cells with the same kernel configuration)
 // measured against exactly the requested cache geometry.
 func expGridBH() Experiment {
 	return Experiment{
@@ -98,8 +94,7 @@ func expGridBH() Experiment {
 		Title: "Design-space cell: simulated Barnes-Hut miss rate at one configuration",
 		Description: "Runs the Barnes-Hut kernel at the Options axes (problem = " +
 			"particles, pes, cache, line, assoc; zeros take defaults) and reports " +
-			"the aggregate read miss rate. Cells that share a kernel configuration " +
-			"replay one captured trace; only the cache geometry re-simulates.",
+			"the aggregate read miss rate.",
 		Run: func(ctx context.Context, o Options) (*Report, error) {
 			n, steps := 1024, 5
 			if o.Scale == ScaleQuick {
@@ -131,15 +126,8 @@ func expGridBH() Experiment {
 				cfg.Profile = true
 				cfg.ProfilePE = 1 % p
 			}
-			sys, err := openMachine(ctx, o, cfg)
+			sys, err := runBHTraced(ctx, o, cfg, n, steps, theta)
 			if err != nil {
-				return nil, err
-			}
-			defer sys.Close()
-			if err := runBHTraced(ctx, n, p, steps, theta, trace.WithContext(ctx, sys)); err != nil {
-				return nil, err
-			}
-			if err := sys.Close(); err != nil {
 				return nil, err
 			}
 

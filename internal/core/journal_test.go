@@ -191,6 +191,19 @@ func TestJournalForeignFileRestarts(t *testing.T) {
 	}
 }
 
+// stripMetrics clears the Metrics field of every report so the remaining
+// comparison covers exactly what the study reads: figures, tables, notes.
+// A revived report carries no metrics; a computed one does.
+func stripMetrics(reps []*Report) []*Report {
+	out := make([]*Report, len(reps))
+	for i, r := range reps {
+		cp := *r
+		cp.Metrics = nil
+		out[i] = &cp
+	}
+	return out
+}
+
 // TestSuiteResumesFromJournal is the in-process resume path: a second
 // RunSuite over the same journal revives every cell, runs nothing, and
 // produces the same reports.

@@ -6,16 +6,14 @@ import (
 	"math/rand"
 	"time"
 
-	"wsstudy/internal/capture"
 	"wsstudy/internal/obs"
-	"wsstudy/internal/trace"
 )
 
 // RetryPolicy is the one retry loop the repo uses: jittered exponential
 // backoff with typed-error classification and deadline budgeting. The
-// suite runner, the result store's compute path, and (through the
-// default classifier) capture re-recording all share it, so "what is
-// worth retrying" is decided in exactly one place.
+// suite runner, the result store's compute path and the cluster's peer
+// fill all share it, so "what is worth retrying" is decided in exactly
+// one place.
 //
 // The zero value is usable and means "one attempt, no retries"; set
 // MaxAttempts to enable retrying.
@@ -38,12 +36,11 @@ type RetryPolicy struct {
 }
 
 // DefaultRetryable is the repo's shared transient-vs-permanent
-// classification: failures explicitly marked Transient, trace
-// corruption (a dropped capture entry re-records on the next attempt),
-// and capture replay failures are retryable; deadline expiry,
-// cancellation, panics, and everything else are permanent. Callers with
-// more context (a test injecting a known-permanent fault) override via
-// RetryPolicy.Classify.
+// classification: failures explicitly marked Transient are retryable;
+// deadline expiry, cancellation, panics, trace corruption (a corrupt
+// trace stays corrupt on every attempt) and everything else are
+// permanent. Callers with more context (a test injecting a
+// known-permanent fault) override via RetryPolicy.Classify.
 func DefaultRetryable(err error) bool {
 	if err == nil {
 		return false
@@ -52,9 +49,7 @@ func DefaultRetryable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
-	return IsTransient(err) ||
-		errors.Is(err, trace.ErrCorrupt) ||
-		errors.Is(err, capture.ErrReplay)
+	return IsTransient(err)
 }
 
 // Do runs op until it succeeds, exhausts the attempt budget, fails

@@ -72,8 +72,9 @@ func TestDefaultRetryable(t *testing.T) {
 		{"nil", nil, false},
 		{"plain", errors.New("boom"), false},
 		{"transient", Transient(errors.New("boom")), true},
-		{"trace corruption", corrupt, true},
-		{"capture replay", replay, true},
+		// A corrupt trace is corrupt on every attempt.
+		{"trace corruption", corrupt, false},
+		{"capture replay", replay, false},
 		{"injected fault", injected, false},
 		{"transient injected fault", &fault.InjectedError{Name: "x", Err: Transient(errors.New("b"))}, true},
 		{"canceled", context.Canceled, false},
@@ -137,34 +138,32 @@ func TestRetryPolicyCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-// TestSuiteRetriesCorruptCapture wires the pieces together: an
-// experiment whose first attempt fails with a capture replay error is
-// retried by the suite without any Transient marking, because the
-// default classifier knows the typed error.
-func TestSuiteRetriesCorruptCapture(t *testing.T) {
+// TestSuiteDoesNotRetryCorruptTrace wires the pieces together: an
+// experiment failing with a corrupt-trace error is not retried by the
+// suite, however many retries it allows, because a corrupt trace stays
+// corrupt.
+func TestSuiteDoesNotRetryCorruptTrace(t *testing.T) {
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
 	calls := 0
 	e := Experiment{
-		ID: "retry-replay", Title: "retry replay",
+		ID: "corrupt-trace", Title: "corrupt trace",
 		Run: func(ctx context.Context, opt Options) (*Report, error) {
 			calls++
-			if calls == 1 {
-				return nil, &capture.ReplayError{Key: "k", Err: &trace.CorruptError{Reason: "crc"}}
-			}
-			return &Report{Title: "retry replay"}, nil
+			return nil, &capture.ReplayError{Key: "k", Err: &trace.CorruptError{Reason: "crc"}}
 		},
 	}
 	rep := RunSuite(ctx, []Experiment{e}, SuiteOptions{
 		Workers: 1, Retries: 2, Backoff: time.Millisecond,
 	})
 	r := rep.Results[0]
-	if r.Err != nil || r.Attempts != 2 {
-		t.Fatalf("suite result = attempts %d, err %v; want a clean second attempt", r.Attempts, r.Err)
+	if !errors.Is(r.Err, trace.ErrCorrupt) || r.Attempts != 1 || calls != 1 {
+		t.Fatalf("suite result = attempts %d (%d runs), err %v; want one attempt failing with trace.ErrCorrupt",
+			r.Attempts, calls, r.Err)
 	}
 	m := rec.Snapshot()
-	if m.Counter(obs.SuiteRetries) != 1 || m.Counter(obs.CoreRetryAttempts) != 1 {
-		t.Errorf("retry counters = suite %d / core %d, want 1/1",
+	if m.Counter(obs.SuiteRetries) != 0 || m.Counter(obs.CoreRetryAttempts) != 0 {
+		t.Errorf("retry counters = suite %d / core %d, want 0/0",
 			m.Counter(obs.SuiteRetries), m.Counter(obs.CoreRetryAttempts))
 	}
 }

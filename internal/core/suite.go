@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"wsstudy/internal/capture"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/obs"
 )
@@ -239,13 +238,6 @@ func RunSuite(ctx context.Context, experiments []Experiment, opt SuiteOptions) *
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Suite-scope kernel-trace capture: experiments sharing a kernel
-	// configuration replay one recorded stream instead of re-running the
-	// kernel. Callers override by attaching their own store (or an
-	// explicit nil, to disable) before calling RunSuite.
-	if !capture.Attached(ctx) {
-		ctx = capture.With(ctx, capture.New(0))
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = 2
@@ -309,9 +301,8 @@ feed:
 }
 
 // runOne executes a single experiment under the shared RetryPolicy:
-// transiently classified failures (and retryable typed errors — trace
-// corruption, capture replay loss) back off and re-attempt up to
-// opt.Retries extra times.
+// failures DefaultRetryable classifies as transient back off and
+// re-attempt up to opt.Retries extra times.
 func runOne(ctx context.Context, e Experiment, opt SuiteOptions, backoff time.Duration) SuiteResult {
 	rec := obs.From(ctx)
 	busy := rec.Gauge(obs.WorkersBusy)

@@ -56,8 +56,9 @@ type Config struct {
 	// from the kernel via BeginEpoch.
 	WarmupEpochs int
 	// Profile selects working-set profiling (a StackProfiler per PE)
-	// instead of concrete caches. Exactly one of Profile or
-	// CacheCapacity must be set.
+	// instead of concrete caches. At most one of Profile or
+	// CacheCapacity may be set; a machine with neither must carry
+	// Probes.
 	Profile bool
 	// CacheCapacity is the per-PE cache capacity in lines when Profile is
 	// false.
@@ -84,6 +85,16 @@ type Config struct {
 	// changes reported statistics, so core includes it in the canonical
 	// option encoding.
 	SampleRate int
+	// Probes attaches caller-built caches to processors: Probes[pe]
+	// lists the caches observing pe. A probe sees exactly the line
+	// accesses pe issues and the invalidations the directory sends pe,
+	// in order, and its statistics reset when warm-up ends. The
+	// directory never consults cache contents, so a probe's statistics
+	// equal those of pe's cache in a dedicated machine of the probe's
+	// geometry — one machine can stand in for one per cache
+	// configuration. Probes take no part in the local/remote miss
+	// classification, must use LineSize, and are read after Close.
+	Probes map[int][]cache.Cache
 }
 
 // Stats aggregates the system-level classification of misses.
@@ -95,9 +106,8 @@ type Stats struct {
 // System is the simulated cache-coherent multiprocessor.
 type System struct {
 	cfg       Config
-	shift     uint             // log2(LineSize), precomputed once
-	caches    []cache.Cache    // per PE when !Profile (nil entries never occur)
-	profilers []cache.Profiler // per PE when Profile (nil when not profiled)
+	shift     uint // log2(LineSize), precomputed once
+	units     units
 	dir       *coherence.Directory
 	stats     Stats
 	epoch     int
@@ -120,14 +130,7 @@ func (s *System) Instrument(rec *obs.Recorder) {
 	s.mLocal = rec.Counter(MetricLocalMisses)
 	s.mRemote = rec.Counter(MetricRemoteMisses)
 	s.dir.Instrument(rec)
-	for _, p := range s.profilers {
-		if p != nil {
-			p.Instrument(rec)
-		}
-	}
-	for _, c := range s.caches {
-		cache.InstrumentCache(c, rec)
-	}
+	s.units.instrument(rec)
 }
 
 // normalize validates cfg and fills defaults; New and Open share it so the
@@ -145,8 +148,18 @@ func normalize(cfg Config) (Config, error) {
 	if cfg.Extent == 0 {
 		cfg.Extent = 1 << 30
 	}
-	if cfg.Profile == (cfg.CacheCapacity > 0) {
-		return cfg, fmt.Errorf("%w: exactly one of Profile or CacheCapacity must be set", ErrInvalidConfig)
+	probes := 0
+	for pe, list := range cfg.Probes {
+		if pe < 0 || pe >= cfg.PEs {
+			return cfg, fmt.Errorf("%w: probe PE %d out of range [0, %d)", ErrInvalidConfig, pe, cfg.PEs)
+		}
+		probes += len(list)
+	}
+	if cfg.Profile && cfg.CacheCapacity > 0 {
+		return cfg, fmt.Errorf("%w: Profile and CacheCapacity are mutually exclusive", ErrInvalidConfig)
+	}
+	if !cfg.Profile && cfg.CacheCapacity == 0 && probes == 0 {
+		return cfg, fmt.Errorf("%w: one of Profile, CacheCapacity or Probes must be set", ErrInvalidConfig)
 	}
 	if cfg.CacheCapacity < 0 {
 		return cfg, fmt.Errorf("%w: CacheCapacity must not be negative, got %d", ErrInvalidConfig, cfg.CacheCapacity)
@@ -169,45 +182,146 @@ func normalize(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// buildPEs constructs the per-processor machinery — concrete caches or
-// working-set profilers — plus the invalidator slice that wires them to a
-// directory. The serial and sharded engines share it so both simulate the
-// identical machine; cfg must already be normalized. Slots without a unit
-// (unprofiled PEs) stay nil in every returned slice.
-func buildPEs(cfg Config, measuring bool) (caches []cache.Cache, profilers []cache.Profiler, inv []coherence.Invalidator, err error) {
-	inv = make([]coherence.Invalidator, cfg.PEs)
-	if cfg.Profile {
-		profilers = make([]cache.Profiler, cfg.PEs)
+// units is the per-processor machinery both engines drive: each PE's
+// concrete cache or working-set profiler (by mode), the probes observing
+// it, and the invalidator the directory reaches them all through.
+// buildPEs constructs it, so the serial and sharded engines simulate the
+// identical machine.
+type units struct {
+	caches    []cache.Cache           // per PE in cache mode, else nil
+	profilers []cache.Profiler        // per PE in profile mode (nil when unprofiled), else nil
+	probes    [][]cache.Cache         // per PE when Config.Probes is set, else nil
+	inv       []coherence.Invalidator // per PE; nil where nothing is attached
+}
+
+// fanInval delivers a directory invalidation to every cache of a PE that
+// carries probes.
+type fanInval []coherence.Invalidator
+
+func (f fanInval) Invalidate(addr uint64) {
+	for _, c := range f {
+		c.Invalidate(addr)
+	}
+}
+
+// buildPEs constructs the per-processor units for cfg, which must already
+// be normalized; measuring is the profilers' initial measurement state.
+func buildPEs(cfg Config, measuring bool) (units, error) {
+	u := units{inv: make([]coherence.Invalidator, cfg.PEs)}
+	switch {
+	case cfg.Profile:
+		u.profilers = make([]cache.Profiler, cfg.PEs)
 		for pe := 0; pe < cfg.PEs; pe++ {
 			if cfg.ProfilePE >= 0 && pe != cfg.ProfilePE {
 				continue
 			}
-			p, perr := cache.NewProfiler(cfg.LineSize, cfg.SampleRate)
-			if perr != nil {
-				return nil, nil, nil, fmt.Errorf("%w: %w", ErrInvalidConfig, perr)
+			p, err := cache.NewProfiler(cfg.LineSize, cfg.SampleRate)
+			if err != nil {
+				return units{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 			}
 			p.SetMeasuring(measuring)
-			profilers[pe] = p
-			inv[pe] = p
+			u.profilers[pe] = p
+			u.inv[pe] = p
 		}
-		return nil, profilers, inv, nil
+	case cfg.CacheCapacity > 0:
+		u.caches = make([]cache.Cache, cfg.PEs)
+		for pe := 0; pe < cfg.PEs; pe++ {
+			c, err := cache.New(cfg.CacheCapacity, cfg.Assoc, cfg.LineSize)
+			if err != nil {
+				return units{}, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+			}
+			u.caches[pe] = c
+			u.inv[pe] = c
+		}
 	}
-	caches = make([]cache.Cache, cfg.PEs)
-	for pe := 0; pe < cfg.PEs; pe++ {
-		var c cache.Cache
-		var cerr error
-		if cfg.Assoc > 0 {
-			c, cerr = cache.NewSetAssoc(cfg.CacheCapacity, cfg.Assoc, cfg.LineSize)
-		} else {
-			c, cerr = cache.NewLRU(cfg.CacheCapacity, cfg.LineSize)
+	for pe, list := range cfg.Probes {
+		if len(list) == 0 {
+			continue
 		}
-		if cerr != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %w", ErrInvalidConfig, cerr)
+		if u.probes == nil {
+			u.probes = make([][]cache.Cache, cfg.PEs)
 		}
-		caches[pe] = c
-		inv[pe] = c
+		u.probes[pe] = list
+		var fan fanInval
+		if u.inv[pe] != nil {
+			fan = append(fan, u.inv[pe])
+		}
+		for _, c := range list {
+			fan = append(fan, c)
+		}
+		u.inv[pe] = fan
 	}
-	return caches, nil, inv, nil
+	return u, nil
+}
+
+// access touches one line in pe's probes and its cache or profiler, and
+// reports whether the cache or profiler (certainly) missed; both engines
+// classify misses through it. Profiled PEs report misses only in the
+// infinite-cache sense (cold or coherence), since per-size misses are
+// resolved after the fact. A PE with no cache or profiler never misses.
+func (u *units) access(pe int, addr uint64, read bool) bool {
+	if u.probes != nil {
+		for _, c := range u.probes[pe] {
+			c.Access(addr, read)
+		}
+	}
+	if u.caches != nil {
+		return u.caches[pe].Access(addr, read).Miss()
+	}
+	if u.profilers == nil {
+		return false
+	}
+	p := u.profilers[pe]
+	if p == nil {
+		return false
+	}
+	coldR, coldW := p.ColdMisses()
+	cohR, cohW := p.CoherenceMisses()
+	before := coldR + coldW + cohR + cohW
+	p.Access(addr, 1, read)
+	coldR, coldW = p.ColdMisses()
+	cohR, cohW = p.CoherenceMisses()
+	return coldR+coldW+cohR+cohW > before
+}
+
+// setMeasuring applies a measurement flip to every unit: profilers start
+// or stop counting, and when measurement starts, caches and probes drop
+// their warm-up statistics.
+func (u *units) setMeasuring(on bool) {
+	for _, p := range u.profilers {
+		if p != nil {
+			p.SetMeasuring(on)
+		}
+	}
+	if !on {
+		return
+	}
+	for _, c := range u.caches {
+		c.ResetStats()
+	}
+	for _, list := range u.probes {
+		for _, c := range list {
+			c.ResetStats()
+		}
+	}
+}
+
+// instrument attaches access/query counters to the profilers and eviction
+// counters to the caches and probes.
+func (u *units) instrument(rec *obs.Recorder) {
+	for _, p := range u.profilers {
+		if p != nil {
+			p.Instrument(rec)
+		}
+	}
+	for _, c := range u.caches {
+		cache.InstrumentCache(c, rec)
+	}
+	for _, list := range u.probes {
+		for _, c := range list {
+			cache.InstrumentCache(c, rec)
+		}
+	}
 }
 
 // homeOf is the home-node map shared by both engines: the processor whose
@@ -229,28 +343,6 @@ func homeOf(cfg *Config, shift uint, addr uint64) int {
 	}
 }
 
-// accessPE touches one line in pe's cache or profiler and reports whether
-// it (certainly) missed; both engines classify misses through it. Profiled
-// PEs report misses only in the infinite-cache sense (cold or coherence),
-// since per-size misses are resolved after the fact. A PE with no unit
-// attached never misses.
-func accessPE(caches []cache.Cache, profilers []cache.Profiler, pe int, addr uint64, read bool) bool {
-	if caches != nil {
-		return caches[pe].Access(addr, read).Miss()
-	}
-	p := profilers[pe]
-	if p == nil {
-		return false
-	}
-	coldR, coldW := p.ColdMisses()
-	cohR, cohW := p.CoherenceMisses()
-	before := coldR + coldW + cohR + cohW
-	p.Access(addr, 1, read)
-	coldR, coldW = p.ColdMisses()
-	cohR, cohW = p.CoherenceMisses()
-	return coldR+coldW+cohR+cohW > before
-}
-
 // New builds a serial System from cfg. All configuration errors wrap
 // ErrInvalidConfig (and, where a subsystem rejected the input, that
 // subsystem's own invalid-configuration sentinel). Open is the
@@ -261,12 +353,11 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, shift: lineShift(cfg.LineSize), measuring: cfg.WarmupEpochs == 0}
-	var invalidators []coherence.Invalidator
-	s.caches, s.profilers, invalidators, err = buildPEs(cfg, s.measuring)
+	s.units, err = buildPEs(cfg, s.measuring)
 	if err != nil {
 		return nil, err
 	}
-	dir, err := coherence.NewDirectory(cfg.PEs, cfg.LineSize, invalidators)
+	dir, err := coherence.NewDirectory(cfg.PEs, cfg.LineSize, s.units.inv)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
@@ -319,7 +410,7 @@ func (s *System) refOne(r trace.Ref) {
 	last := (r.Addr + uint64(r.Size) - 1) >> s.shift
 	for line := first; ; line++ {
 		addr := line << s.shift
-		miss := s.accessOne(r.PE, addr, read)
+		miss := s.units.access(r.PE, addr, read)
 		if read {
 			s.dir.ReadLine(r.PE, line)
 		} else {
@@ -340,12 +431,6 @@ func (s *System) refOne(r trace.Ref) {
 	}
 }
 
-// accessOne touches one line in the issuing PE's cache or profiler and
-// reports whether it (certainly) missed; see accessPE.
-func (s *System) accessOne(pe int, addr uint64, read bool) bool {
-	return accessPE(s.caches, s.profilers, pe, addr, read)
-}
-
 // BeginEpoch advances the epoch counter and flips measurement on once the
 // warm-up epochs have passed.
 func (s *System) BeginEpoch(n int) {
@@ -355,15 +440,8 @@ func (s *System) BeginEpoch(n int) {
 		return
 	}
 	s.measuring = on
-	for _, p := range s.profilers {
-		if p != nil {
-			p.SetMeasuring(on)
-		}
-	}
+	s.units.setMeasuring(on)
 	if on {
-		for _, c := range s.caches {
-			c.ResetStats()
-		}
 		s.dir.ResetStats()
 		s.stats = Stats{}
 	}
@@ -374,24 +452,24 @@ func (s *System) Measuring() bool { return s.measuring }
 
 // Profiler returns the profiler attached to pe, or nil.
 func (s *System) Profiler(pe int) cache.Profiler {
-	if s.profilers == nil {
+	if s.units.profilers == nil {
 		return nil
 	}
-	return s.profilers[pe]
+	return s.units.profilers[pe]
 }
 
 // Cache returns the concrete cache of pe (nil in profile mode).
 func (s *System) Cache(pe int) cache.Cache {
-	if s.caches == nil {
+	if s.units.caches == nil {
 		return nil
 	}
-	return s.caches[pe]
+	return s.units.caches[pe]
 }
 
 // CacheStats aggregates the stats of all concrete caches.
 func (s *System) CacheStats() cache.Stats {
 	var total cache.Stats
-	for _, c := range s.caches {
+	for _, c := range s.units.caches {
 		total.Add(c.Stats())
 	}
 	return total

@@ -8,18 +8,26 @@ import (
 )
 
 func TestConfigValidation(t *testing.T) {
+	probe := []cache.Cache{cache.MustLRU(4, 8)}
 	cases := []Config{
 		{PEs: 0, Profile: true},
-		{PEs: 2}, // neither profile nor capacity
-		{PEs: 2, Profile: true, CacheCapacity: 4}, // both
+		{PEs: 2}, // neither profile nor capacity nor probes
+		{PEs: 2, Profile: true, CacheCapacity: 4},         // both
+		{PEs: 2, Probes: map[int][]cache.Cache{2: probe}}, // probe PE out of range
+		{PEs: 2, Probes: map[int][]cache.Cache{1: nil}},   // no probe after all
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
 	}
-	if _, err := New(Config{PEs: 2, CacheCapacity: 4, ProfilePE: -1}); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, cfg := range []Config{
+		{PEs: 2, CacheCapacity: 4, ProfilePE: -1},
+		{PEs: 2, Probes: map[int][]cache.Cache{1: probe}}, // probes alone
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("valid config %+v rejected: %v", cfg, err)
+		}
 	}
 }
 

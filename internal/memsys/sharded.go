@@ -120,9 +120,10 @@ func (b *opBlock) reset() {
 // capInval is the per-(shard, PE) invalidation capturer: directory shard
 // workers deliver invalidations through it instead of touching caches, and
 // it records them — with the op's seq and the target PE — into the owning
-// shard's mailbox slot of the current block. Only PEs that have a cache or
-// profiler get a capturer, mirroring the serial engine's nil invalidator
-// slots exactly (the directory counts invalidations regardless).
+// shard's mailbox slot of the current block. Only PEs with a cache,
+// profiler or probe get a capturer, mirroring the serial engine's nil
+// invalidator slots exactly (the directory counts invalidations
+// regardless).
 type capInval struct {
 	w  *dirWorker
 	pe int32
@@ -143,8 +144,8 @@ type dirWorker struct {
 	seq  int32
 }
 
-// cacheWorker owns the caches/profilers of the PEs mapped to it (pe % V)
-// and accumulates their measured miss classification.
+// cacheWorker owns the caches, profilers and probes of the PEs mapped to
+// it (pe % V) and accumulates their measured miss classification.
 type cacheWorker struct {
 	id      int
 	ring    *spsc.Ring[*opBlock]
@@ -172,10 +173,8 @@ type Sharded struct {
 	cfg   Config
 	shift uint
 
-	dir       *coherence.ShardedDirectory
-	caches    []cache.Cache
-	profilers []cache.Profiler
-	hasUnit   []bool
+	dir   *coherence.ShardedDirectory
+	units units
 
 	dirWorkers   []*dirWorker
 	cacheWorkers []*cacheWorker
@@ -204,7 +203,8 @@ type Sharded struct {
 
 // newSharded builds the sharded engine; cfg is already normalized and
 // cfg.Shards is positive. Cache workers number min(Shards, PEs-with-units)
-// — more would idle, since a PE's events are pinned to one worker.
+// — more would idle, since a PE's events are pinned to one worker. Probes
+// count as units, so a probe-only machine still gets a cache worker.
 func newSharded(cfg Config) (*Sharded, error) {
 	s := &Sharded{
 		cfg:       cfg,
@@ -214,26 +214,20 @@ func newSharded(cfg Config) (*Sharded, error) {
 	bg := context.Background()
 	s.ictx.Store(&bg)
 
-	var invalidators []coherence.Invalidator
 	var err error
-	s.caches, s.profilers, invalidators, err = buildPEs(cfg, s.measuring)
+	s.units, err = buildPEs(cfg, s.measuring)
 	if err != nil {
 		return nil, err
 	}
-	s.hasUnit = make([]bool, cfg.PEs)
-	units := 0
-	for pe, inv := range invalidators {
+	attached := 0
+	for _, inv := range s.units.inv {
 		if inv != nil {
-			s.hasUnit[pe] = true
-			units++
+			attached++
 		}
 	}
 
 	w := cfg.Shards
-	v := w
-	if v > units {
-		v = units
-	}
+	v := min(w, attached)
 
 	s.dirWorkers = make([]*dirWorker, w)
 	for i := range s.dirWorkers {
@@ -246,7 +240,7 @@ func newSharded(cfg Config) (*Sharded, error) {
 	s.dir, err = coherence.NewShardedDirectory(cfg.PEs, cfg.LineSize, w, func(shard int) []coherence.Invalidator {
 		inv := make([]coherence.Invalidator, cfg.PEs)
 		for pe := range inv {
-			if s.hasUnit[pe] {
+			if s.units.inv[pe] != nil {
 				inv[pe] = &capInval{w: s.dirWorkers[shard], pe: int32(pe)}
 			}
 		}
@@ -339,7 +333,7 @@ func (s *Sharded) runDir(w *dirWorker) {
 
 // runCache is phase two: once a block's directory phase is complete, merge
 // this worker's accesses with the invalidations addressed to its PEs in
-// (seq, pe) order and apply them to the caches/profilers it owns.
+// (seq, pe) order and apply them to the units it owns.
 func (s *Sharded) runCache(w *cacheWorker) {
 	defer s.wg.Done()
 	batch := make([]*opBlock, w.ring.Cap())
@@ -365,14 +359,10 @@ func (s *Sharded) runCache(w *cacheWorker) {
 			})
 			for _, e := range ev {
 				if e.kind == evInval {
-					if s.caches != nil {
-						s.caches[e.pe].Invalidate(e.addr)
-					} else {
-						s.profilers[e.pe].Invalidate(e.addr)
-					}
+					s.units.inv[e.pe].Invalidate(e.addr)
 					continue
 				}
-				miss := accessPE(s.caches, s.profilers, int(e.pe), e.addr, e.kind == evRead)
+				miss := s.units.access(int(e.pe), e.addr, e.kind == evRead)
 				if miss && blk.measuring {
 					if homeOf(&s.cfg, s.shift, e.addr) == int(e.pe) {
 						w.local++
@@ -418,7 +408,7 @@ func (s *Sharded) record(pe int, line uint64, read bool) {
 	blk.n++
 	w := s.dir.ShardOf(line)
 	blk.dirOps[w] = append(blk.dirOps[w], shardDirOp{line: line, seq: seq, pe: int32(pe), read: read})
-	if s.hasUnit[pe] {
+	if s.units.inv[pe] != nil {
 		kind := evWrite
 		if read {
 			kind = evRead
@@ -533,15 +523,8 @@ func (s *Sharded) BeginEpoch(n int) {
 	}
 	s.drain()
 	s.measuring = on
-	for _, p := range s.profilers {
-		if p != nil {
-			p.SetMeasuring(on)
-		}
-	}
+	s.units.setMeasuring(on)
 	if on {
-		for _, c := range s.caches {
-			c.ResetStats()
-		}
 		s.dir.ResetStats()
 		for _, cw := range s.cacheWorkers {
 			cw.local, cw.remote = 0, 0
@@ -550,7 +533,7 @@ func (s *Sharded) BeginEpoch(n int) {
 }
 
 // Instrument attaches run-scope counters from rec to the engine, its
-// directory shards, and every cache/profiler. It also rebinds the
+// directory shards, and every cache, profiler and probe. It also rebinds the
 // failpoint-injection context so fault-trigger counters land on rec. Call
 // it before feeding references, from the driver goroutine.
 func (s *Sharded) Instrument(rec *obs.Recorder) {
@@ -568,14 +551,7 @@ func (s *Sharded) Instrument(rec *obs.Recorder) {
 	s.mBarriers = rec.Counter(MetricBarriers)
 	s.mQueueDepth = rec.Gauge(MetricShardQueueDepth)
 	s.dir.Instrument(rec)
-	for _, p := range s.profilers {
-		if p != nil {
-			p.Instrument(rec)
-		}
-	}
-	for _, c := range s.caches {
-		cache.InstrumentCache(c, rec)
-	}
+	s.units.instrument(rec)
 }
 
 // Home reports the processor whose local memory holds addr.
@@ -586,28 +562,28 @@ func (s *Sharded) Measuring() bool { return s.measuring }
 
 // Profiler drains the pipeline and returns pe's profiler, or nil.
 func (s *Sharded) Profiler(pe int) cache.Profiler {
-	if s.profilers == nil {
+	if s.units.profilers == nil {
 		return nil
 	}
 	s.drain()
-	return s.profilers[pe]
+	return s.units.profilers[pe]
 }
 
 // Cache drains the pipeline and returns pe's concrete cache (nil in
 // profile mode).
 func (s *Sharded) Cache(pe int) cache.Cache {
-	if s.caches == nil {
+	if s.units.caches == nil {
 		return nil
 	}
 	s.drain()
-	return s.caches[pe]
+	return s.units.caches[pe]
 }
 
 // CacheStats drains the pipeline and aggregates all concrete cache stats.
 func (s *Sharded) CacheStats() cache.Stats {
 	s.drain()
 	var total cache.Stats
-	for _, c := range s.caches {
+	for _, c := range s.units.caches {
 		total.Add(c.Stats())
 	}
 	return total

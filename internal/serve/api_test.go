@@ -188,7 +188,7 @@ func TestSuiteETagConditional(t *testing.T) {
 // newSweepServer wires a server whose sweep engine journals under dir.
 func newSweepServer(t *testing.T, rec *obs.Recorder, dir string) (*httptest.Server, *sweep.Engine) {
 	t.Helper()
-	st, err := store.New(store.Config{Slots: 2, Recorder: rec, CaptureBytes: -1})
+	st, err := store.New(store.Config{Slots: 2, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,28 +13,21 @@ import (
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/store"
-	"wsstudy/internal/trace"
 )
 
 // TestHealthzDocument pins the exact /healthz bytes — keys, states,
-// reasons and status code — for the five states a node can report:
-// healthy, disk degraded, capture degraded, one peer degraded, and
-// closed. Operators and probes parse this document, so a change to the
-// breaker behind it must not move a single byte.
+// reasons and status code — for the four states a node can report:
+// healthy, disk degraded, one peer degraded, and closed. Operators and
+// probes parse this document, so a change to the breaker behind it must
+// not move a single byte.
 func TestHealthzDocument(t *testing.T) {
 	t.Cleanup(fault.DisarmAll)
 
-	// corruptOnce fails its first run the way a damaged capture replay
-	// does, which degrades the capture subsystem; the retry succeeds.
-	var corrupted atomic.Bool
 	reg := []core.Experiment{{
-		ID:    "corruptonce",
-		Title: "fails its first replay",
+		ID:    "plain",
+		Title: "plain",
 		Run: func(ctx context.Context, opt core.Options) (*core.Report, error) {
-			if corrupted.CompareAndSwap(false, true) {
-				return nil, fmt.Errorf("replaying kernel: %w", trace.ErrCorrupt)
-			}
-			return &core.Report{Title: "corruptonce"}, nil
+			return &core.Report{Title: "plain"}, nil
 		},
 	}}
 
@@ -54,21 +45,18 @@ func TestHealthzDocument(t *testing.T) {
   "store": {
     "disk": {
       "state": "ok"
-    },
-    "capture": {
-      "state": "ok"
     }
   }
 }
 `},
 		{"disk degraded", func(t *testing.T) (string, func(string) string) {
-			_, hs := newTestServer(t, store.Config{Dir: t.TempDir(), CaptureBytes: -1}, reg, nil)
+			_, hs := newTestServer(t, store.Config{Dir: t.TempDir()}, reg, nil)
 			if err := fault.Arm("store.disk.save", fault.Trigger{
 				Mode: fault.ModeError, Err: errors.New("disk full"), Count: 1,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			body(t, get(t, hs.URL+"/v1/experiments/corruptonce/report?opt.scale=quick", nil))
+			body(t, get(t, hs.URL+"/v1/experiments/plain/report?opt.scale=quick", nil))
 			return hs.URL, nil
 		}, http.StatusOK, `{
   "status": "degraded",
@@ -76,31 +64,6 @@ func TestHealthzDocument(t *testing.T) {
     "disk": {
       "state": "degraded",
       "reason": "save: fault: failpoint store.disk.save: disk full"
-    },
-    "capture": {
-      "state": "off"
-    }
-  }
-}
-`},
-		{"capture degraded", func(t *testing.T) (string, func(string) string) {
-			corrupted.Store(false)
-			_, hs := newTestServer(t, store.Config{}, reg, nil)
-			resp := get(t, hs.URL+"/v1/experiments/corruptonce/report?opt.scale=quick", nil)
-			body(t, resp)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("report after a replay failure = %d, want 200", resp.StatusCode)
-			}
-			return hs.URL, nil
-		}, http.StatusOK, `{
-  "status": "degraded",
-  "store": {
-    "disk": {
-      "state": "off"
-    },
-    "capture": {
-      "state": "degraded",
-      "reason": "replaying kernel: trace: corrupt trace"
     }
   }
 }
@@ -110,7 +73,7 @@ func TestHealthzDocument(t *testing.T) {
 				w.WriteHeader(http.StatusInternalServerError)
 			}))
 			t.Cleanup(dead.Close)
-			st, err := store.New(store.Config{CaptureBytes: -1})
+			st, err := store.New(store.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,8 +99,8 @@ func TestHealthzDocument(t *testing.T) {
 			})
 			for cache := uint64(4096); ; cache += 4096 {
 				o := core.Options{Scale: core.ScaleQuick, CacheBytes: cache}
-				if owner, _ := cl.Owner(store.KeyFor("corruptonce", o)); owner == "b" {
-					if _, ok := cl.Fill(context.Background(), store.KeyFor("corruptonce", o), reg[0], o); ok {
+				if owner, _ := cl.Owner(store.KeyFor("plain", o)); owner == "b" {
+					if _, ok := cl.Fill(context.Background(), store.KeyFor("plain", o), reg[0], o); ok {
 						t.Fatal("Fill succeeded against a 500ing peer")
 					}
 					break
@@ -148,9 +111,6 @@ func TestHealthzDocument(t *testing.T) {
   "status": "degraded",
   "store": {
     "disk": {
-      "state": "off"
-    },
-    "capture": {
       "state": "off"
     }
   },
@@ -185,9 +145,6 @@ func TestHealthzDocument(t *testing.T) {
   "status": "down",
   "store": {
     "disk": {
-      "state": "ok"
-    },
-    "capture": {
       "state": "ok"
     },
     "closed": true

@@ -352,10 +352,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthResponse is the GET /healthz document: an overall verdict plus
-// the store's per-subsystem detail. "degraded" still answers 200 — the
-// server is serving, just without one of its caches — so liveness
-// probes don't restart a self-healing process; "down" (store closed)
-// answers 503.
+// the store's disk detail and, on a cluster node, the ring. "degraded"
+// still answers 200 — the server is serving, just without its disk
+// cache or a peer — so liveness probes don't restart a self-healing
+// process; "down" (store closed) answers 503.
 type healthResponse struct {
 	Status string       `json:"status"` // "ok" | "degraded" | "down"
 	Store  store.Health `json:"store"`

@@ -10,16 +10,14 @@ import (
 	"time"
 
 	"wsstudy/internal/breaker"
-	"wsstudy/internal/capture"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/obs"
-	"wsstudy/internal/trace"
 )
 
-// Robustness tests: quarantine of corrupt persisted reports, disk and
-// capture degradation with probe-based self-healing, and the compute
-// retry under injected faults — including the invariant that a faulted
+// Robustness tests: quarantine of corrupt persisted reports, disk
+// degradation with probe-based self-healing, and the compute retry under
+// injected faults — including the invariant that a faulted
 // computation's result is never cached.
 
 func newRobustStore(t *testing.T, cfg Config) (*Store, *obs.Recorder) {
@@ -238,92 +236,14 @@ func TestFaultedComputeNeverCached(t *testing.T) {
 	}
 }
 
-// refCounter counts delivered references — the minimal trace sink.
-type refCounter struct{ n int }
-
-func (c *refCounter) Ref(trace.Ref) { c.n++ }
-
-// captureExp builds an experiment that streams a multi-frame kernel
-// trace through the context capture store, like the real traced
-// experiments do.
-func captureExp(id string) core.Experiment {
-	return core.Experiment{
-		ID:    id,
-		Title: "capture " + id,
-		Run: func(ctx context.Context, opt core.Options) (*core.Report, error) {
-			sink := &refCounter{}
-			err := capture.From(ctx).Run(ctx, "robust/kernel", 2, sink, func(out trace.Consumer) error {
-				ec, _ := out.(trace.EpochConsumer)
-				bc := trace.AdaptConsumer(out)
-				block := make([]trace.Ref, 1024)
-				for epoch := 0; epoch < 2; epoch++ {
-					if ec != nil {
-						ec.BeginEpoch(epoch)
-					}
-					for i := 0; i < 32; i++ {
-						for j := range block {
-							// Scattered addresses defeat delta encoding, so the
-							// recording spans several 32 KB frames.
-							block[j] = trace.Ref{PE: j % 4, Addr: uint64((epoch*32+i)*1024+j) * 2654435761, Size: 8}
-						}
-						bc.Refs(block)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			r := &core.Report{Title: "capture " + id}
-			r.AddNote("refs=%d", sink.n)
-			return r, nil
-		},
-	}
-}
-
-// TestCaptureFaultDegradesToLiveRun: a mid-stream replay failure
-// surfaces as a capture.ReplayError, degrades the capture subsystem,
-// and the retry runs the kernel live — the caller still gets a result.
-func TestCaptureFaultDegradesToLiveRun(t *testing.T) {
-	s, rec := newRobustStore(t, Config{})
-	opt := core.Options{Scale: core.ScaleQuick}
-
-	// First key records the kernel trace.
-	if _, err := s.Get(context.Background(), captureExp("cap1"), opt); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt every replayed frame after the first: the second key's
-	// replay delivers a verified prefix then fails — the mid-stream case
-	// that cannot silently fall through to a re-record.
-	if err := fault.Arm("trace.replay.chunk", fault.Trigger{
-		Mode: fault.ModeCorrupt, After: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Get(context.Background(), captureExp("cap2"), opt)
-	if err != nil || res == nil {
-		t.Fatalf("capture fault not degraded away: %v", err)
-	}
-	if h := s.Health(); h.Capture.State != breaker.StateDegraded {
-		t.Errorf("capture state = %q, want degraded", h.Capture.State)
-	}
-	m := rec.Snapshot()
-	if m.Counter(obs.StoreDegraded) == 0 {
-		t.Error("capture degradation not counted")
-	}
-	if m.Counter(obs.CoreRetryAttempts) == 0 {
-		t.Error("replay failure did not go through the retry policy")
-	}
-}
-
 func TestHealthReflectsConfiguration(t *testing.T) {
-	s1, _ := newRobustStore(t, Config{CaptureBytes: -1})
-	if h := s1.Health(); h.Disk.State != breaker.StateOff || h.Capture.State != breaker.StateOff {
-		t.Errorf("unconfigured subsystems = %+v, want off/off", h)
+	s1, _ := newRobustStore(t, Config{})
+	if h := s1.Health(); h.Disk.State != breaker.StateOff {
+		t.Errorf("unconfigured disk = %+v, want off", h)
 	}
 	s2, _ := newRobustStore(t, Config{Dir: t.TempDir()})
-	if h := s2.Health(); h.Disk.State != breaker.StateOK || h.Capture.State != breaker.StateOK {
-		t.Errorf("configured subsystems = %+v, want ok/ok", h)
+	if h := s2.Health(); h.Disk.State != breaker.StateOK {
+		t.Errorf("configured disk = %+v, want ok", h)
 	}
 	s2.Close(context.Background())
 	if h := s2.Health(); !h.Closed {

@@ -30,11 +30,9 @@ import (
 	"time"
 
 	"wsstudy/internal/breaker"
-	"wsstudy/internal/capture"
 	"wsstudy/internal/core"
 	"wsstudy/internal/fault"
 	"wsstudy/internal/obs"
-	"wsstudy/internal/trace"
 )
 
 // The store's failpoints sit at its three failure seams: reading a
@@ -117,19 +115,12 @@ type Config struct {
 	// computation's context, so experiment-level metrics fold into it
 	// too. Nil disables instrumentation at the usual nil-handle cost.
 	Recorder *obs.Recorder
-	// CaptureBytes bounds the process-lifetime kernel-trace capture
-	// attached to every computation (0 = capture.DefaultMaxBytes,
-	// negative = no capture). Distinct requests whose experiments share
-	// a kernel configuration replay one recorded reference stream
-	// instead of re-running the kernel.
-	CaptureBytes int64
 	// ComputeRetries is how many extra attempts a retryably classified
 	// compute failure gets under core.RetryPolicy before the flight
 	// fails (0 = 1 extra attempt; negative = none).
 	ComputeRetries int
-	// ProbeInterval is how long a degraded subsystem (disk persistence,
-	// kernel-trace capture) is bypassed before the next operation
-	// probes it again (0 = 30s).
+	// ProbeInterval is how long degraded disk persistence is bypassed
+	// before the next operation probes it again (0 = 30s).
 	ProbeInterval time.Duration
 }
 
@@ -157,9 +148,9 @@ type Store struct {
 	waiters  int
 	inflight sync.WaitGroup
 
-	// disk and capt guard the two optional caches; nil means the cache
-	// is not configured.
-	disk, capt *breaker.Breaker
+	// disk guards the optional persistence cache; nil means it is not
+	// configured.
+	disk *breaker.Breaker
 
 	hits, misses, coalesced, evictions, diskHits *obs.Counter
 	queueDepth, bytesGauge                       *obs.Gauge
@@ -206,27 +197,18 @@ func New(cfg Config) (*Store, error) {
 	}
 	base, cancel := context.WithCancel(context.Background())
 	rec := cfg.Recorder
-	var capStore *capture.Store
-	if cfg.CaptureBytes >= 0 {
-		capStore = capture.New(cfg.CaptureBytes)
-	}
-	degraded := rec.Counter(obs.StoreDegraded)
-	var disk, capt *breaker.Breaker
+	var disk *breaker.Breaker
 	if cfg.Dir != "" {
-		disk = breaker.New(cfg.ProbeInterval, degraded)
-	}
-	if capStore != nil {
-		capt = breaker.New(cfg.ProbeInterval, degraded)
+		disk = breaker.New(cfg.ProbeInterval, rec.Counter(obs.StoreDegraded))
 	}
 	return &Store{
 		cfg:         cfg,
 		slots:       make(chan struct{}, cfg.Slots),
-		base:        capture.With(obs.With(base, rec), capStore),
+		base:        obs.With(base, rec),
 		cancel:      cancel,
 		entries:     make(map[Key]*lruEntry),
 		flights:     make(map[Key]*flight),
 		disk:        disk,
-		capt:        capt,
 		hits:        rec.Counter(obs.StoreHits),
 		misses:      rec.Counter(obs.StoreMisses),
 		coalesced:   rec.Counter(obs.StoreCoalesced),
@@ -440,9 +422,7 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 
 	// The run itself, under the shared RetryPolicy. Attempts execute on
 	// the store's root context (a flight outlives its leader's client),
-	// each bounded by opt.Timeout. A capture-replay failure degrades the
-	// capture subsystem so the retry — and every computation until a
-	// probe heals it — runs the kernel live instead of replaying.
+	// each bounded by opt.Timeout.
 	attempts := s.cfg.ComputeRetries
 	switch {
 	case attempts == 0:
@@ -459,20 +439,9 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 			if err := fpCompute.Inject(s.base); err != nil {
 				return err
 			}
-			runCtx := s.base
-			captured := s.capt.Allow()
-			if !captured {
-				runCtx = capture.With(runCtx, nil)
-			}
-			r, err := core.Execute(runCtx, e, opt)
+			r, err := core.Execute(s.base, e, opt)
 			if err != nil {
-				if errors.Is(err, capture.ErrReplay) || errors.Is(err, trace.ErrCorrupt) {
-					s.capt.Fail(err.Error())
-				}
 				return err
-			}
-			if captured {
-				s.capt.Succeed()
 			}
 			rep = r
 			return nil

@@ -43,7 +43,7 @@ func TestSweepCrashResumeSIGKILL(t *testing.T) {
 			fmt.Fprintln(os.Stderr, "child: arming failpoints:", err)
 			os.Exit(2)
 		}
-		st, err := store.New(store.Config{Slots: 1, CaptureBytes: -1})
+		st, err := store.New(store.Config{Slots: 1})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "child: store:", err)
 			os.Exit(2)

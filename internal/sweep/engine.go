@@ -24,8 +24,8 @@ var fpCellCompute = fault.New("sweep.cell.compute")
 
 // Config assembles an Engine.
 type Config struct {
-	// Store executes cells: singleflight, compute slots, capture
-	// sharing and persisted renderings all apply per cell. Required.
+	// Store executes cells: singleflight, compute slots and persisted
+	// renderings all apply per cell. Required.
 	Store *store.Store
 	// Dir holds one checkpoint journal per sweep id. "" disables
 	// journaling; resume then relies on the store's persistence alone.
@@ -260,8 +260,8 @@ func (e *Engine) runPass(run *sweepRun, todo []int) {
 
 // runCell lands one cell: journal revival first, then the store's
 // memory/disk revival, then — only if neither holds the key — a real
-// computation through the store (singleflight, capture sharing and
-// persistence included). Every landed cell is checkpointed, so the
+// computation through the store (singleflight and persistence
+// included). Every landed cell is checkpointed, so the
 // journal converges to the full lattice regardless of which path
 // landed each cell.
 func (e *Engine) runCell(run *sweepRun, i int) {

@@ -10,7 +10,7 @@ import (
 func newTestStore(t *testing.T, rec *obs.Recorder, dir string) *store.Store {
 	t.Helper()
 	s, err := store.New(store.Config{
-		MaxEntries: 256, Slots: 4, Dir: dir, Recorder: rec, CaptureBytes: -1,
+		MaxEntries: 256, Slots: 4, Dir: dir, Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

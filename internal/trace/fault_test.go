@@ -63,6 +63,42 @@ func TestWriteChunkFaultError(t *testing.T) {
 	}
 }
 
+// TestReplayChunkFault: damage injected into a frame as replay reads it
+// — corrupt bytes or a failed read — fails the replay with ErrCorrupt
+// after delivering exactly the verified frames before it.
+func TestReplayChunkFault(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRefs(t, w, 20000) // several 32 KB frames
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []fault.Trigger{
+		{Mode: fault.ModeCorrupt, After: 1},
+		{Mode: fault.ModeError, Err: errors.New("read failed"), After: 1},
+	} {
+		t.Run(tr.Mode.String(), func(t *testing.T) {
+			t.Cleanup(fault.DisarmAll)
+			if err := fault.Arm("trace.replay.chunk", tr); err != nil {
+				t.Fatal(err)
+			}
+			var sink countingConsumer
+			n, err := Replay(bytes.NewReader(buf.Bytes()), &sink)
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("replay with a damaged second frame: err = %v, want a CorruptError", err)
+			}
+			if n == 0 || n >= 20000 || uint64(sink.refs) != n || ce.Records != n {
+				t.Errorf("delivered %d refs, replay reported %d, error %d: want the first frame's verified prefix",
+					sink.refs, n, ce.Records)
+			}
+		})
+	}
+}
+
 // TestPollFault: the guard's cancellation poll is the kernels' one
 // cooperative stop seam; an armed trace.poll failpoint stops a kernel
 // there exactly as an expired deadline would.

@@ -108,12 +108,12 @@ var (
 // Experiments lists every artifact in paper order.
 func Experiments() []Experiment { return core.Registry() }
 
-// Run executes the experiment with the given id ("fig2", "fig4", "fig5",
-// "fig6", "fig6dm", "fig7", "table1", "table2", "machines", "grain",
-// "scalingbh", "cost"). The run is hardened — panics are recovered,
-// Options.Timeout maps to ErrDeadline — and stops cooperatively when ctx
-// is cancelled. When ctx carries a Recorder (WithRecorder), the returned
-// Report includes a Metrics snapshot of the run.
+// Run executes the experiment with the given id, one of the IDs
+// Experiments lists (`wsstudy list` prints them). The run is hardened —
+// panics are recovered, Options.Timeout maps to ErrDeadline — and stops
+// cooperatively when ctx is cancelled. When ctx carries a Recorder
+// (WithRecorder), the returned Report includes a Metrics snapshot of the
+// run.
 func Run(ctx context.Context, id string, opt Options) (*Report, error) {
 	e, ok := core.Find(id)
 	if !ok {
