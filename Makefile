@@ -1,12 +1,14 @@
 GO ?= go
-BENCH_OUT ?= BENCH_PR16.json
+BENCH_OUT ?= BENCH_PR17.json
 
 .PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
 
 # Tier-1 gate: everything must build, `go vet ./...` clean, be
 # gofmt-formatted, pass under -race, the batched pipeline must remain
-# bit-identical to the legacy per-Ref path and per-PE cache probes to
-# dedicated per-configuration machines (short-mode equivalence run),
+# bit-identical to the legacy per-Ref path, per-PE cache probes to
+# dedicated per-configuration machines, the paged directory to a naive
+# map-of-sets model, and the profiler's compaction to its pinned counts
+# (short-mode equivalence run),
 # the v1 HTTP server must boot, answer /v1/experiments with valid
 # JSON, and drain (serve-smoke), a parameter-lattice sweep must run
 # end to end over HTTP including its grain advice (sweep-smoke), the
@@ -48,9 +50,14 @@ fmt-check:
 # memory system (bit-identical statistics, run-to-run determinism, and
 # byte-identical sharing1024 reports at GOMAXPROCS=1 and 2), and cache
 # probes on one machine to a dedicated machine per cache configuration
-# on both engines.
+# on both engines. The paged coherence directory is held to a naive
+# map-of-sets model (statistics, sharers, dirty bits and every PE's exact
+# invalidation sequence, at P = 4, 64 and 1024, on both sides of the line
+# table's dense bound), and the stack profiler's compaction to the counts
+# of its known phantom slot, which the golden report hashes depend on.
 equivalence:
 	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
+	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot' ./internal/coherence/ ./internal/cache/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,

@@ -12,6 +12,7 @@ import "fmt"
 // the ablation benchmark quantifies the cost difference.
 type Bank struct {
 	caches []*LRU
+	shift  uint // log2 of the shared line size
 }
 
 // NewBank builds LRU caches at each capacity (in lines), which must be
@@ -24,7 +25,7 @@ func NewBank(capacitiesLines []int, lineSize uint32) (*Bank, error) {
 	if err := validateLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	b := &Bank{caches: make([]*LRU, len(capacitiesLines))}
+	b := &Bank{caches: make([]*LRU, len(capacitiesLines)), shift: lineShift(lineSize)}
 	prev := 0
 	for i, c := range capacitiesLines {
 		if c <= prev {
@@ -52,11 +53,10 @@ func (b *Bank) Access(addr uint64, size uint32, read bool) {
 	if size == 0 {
 		return
 	}
-	ls := b.caches[0].LineSize()
-	first := Line(addr, ls)
-	last := Line(addr+uint64(size)-1, ls)
+	first := addr >> b.shift
+	last := (addr + uint64(size) - 1) >> b.shift
 	for line := first; ; line++ {
-		a := line << lineShift(ls)
+		a := line << b.shift
 		for _, c := range b.caches {
 			c.Access(a, read)
 		}

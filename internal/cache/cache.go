@@ -13,6 +13,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrInvalidConfig is wrapped by every input-validation error this package
@@ -36,18 +37,15 @@ func Line(addr uint64, lineSize uint32) uint64 {
 	return addr >> lineShift(lineSize)
 }
 
-// lineShift panics on an invalid line size; constructors validate with
-// validateLineSize first, so reaching the panic means an internal invariant
-// broke, not bad user input.
+// lineShift returns log2(lineSize). It panics on an invalid line size;
+// constructors validate with validateLineSize first and store the shift,
+// so reaching the panic means an internal invariant broke, not bad user
+// input.
 func lineShift(lineSize uint32) uint {
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		panic(fmt.Sprintf("cache: line size %d is not a power of two", lineSize))
 	}
-	s := uint(0)
-	for l := lineSize; l > 1; l >>= 1 {
-		s++
-	}
-	return s
+	return uint(bits.TrailingZeros32(lineSize))
 }
 
 // LinesSpanned reports how many lines the byte range [addr, addr+size)

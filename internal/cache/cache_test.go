@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"wsstudy/internal/linetab"
 )
 
 func TestLineComputation(t *testing.T) {
@@ -271,39 +273,67 @@ func TestFenwick(t *testing.T) {
 	if got := f.rangeSum(1, 16); got != 2 {
 		t.Errorf("after removal = %d, want 2", got)
 	}
+	// fill builds the tree compaction leaves behind: positions 1..k set,
+	// on storage reused from a larger tree or grown past it.
+	for _, n := range []int{8, 37, 64} {
+		for k := 0; k <= n; k++ {
+			f.fill(n, k)
+			for i := 0; i <= n; i++ {
+				if got := f.prefix(i); got != min(i, k) {
+					t.Fatalf("fill(%d, %d): prefix(%d) = %d, want %d", n, k, i, got, min(i, k))
+				}
+			}
+		}
+	}
 }
 
 // TestStackProfilerMatchesLRU is the load-bearing correctness property:
 // without invalidations, Mattson's theorem says the single-pass profiler
 // must report exactly the miss counts of independent LRU simulations at
-// every capacity, on an adversarially random trace.
+// every capacity, on an adversarially random trace. The second line set
+// mixes dense lines with lines at and far above the line table's dense
+// bound, so the far-line map is held to the same property; both runs stay
+// inside one 65,536-position span, where no compaction runs.
 func TestStackProfilerMatchesLRU(t *testing.T) {
 	capacities := []int{1, 2, 3, 5, 8, 13, 21, 34, 55}
-	p := MustStackProfiler(8)
-	lrus := make([]*LRU, len(capacities))
-	for i, c := range capacities {
-		lrus[i] = MustLRU(c, 8)
+	dense := make([]uint64, 100)
+	for i := range dense {
+		dense[i] = uint64(i)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50000; i++ {
-		addr := uint64(rng.Intn(100)) * 8
-		read := rng.Intn(3) != 0
-		p.Access(addr, 8, read)
-		for _, c := range lrus {
-			c.Access(addr, read)
-		}
+	var mixed []uint64
+	for i := uint64(0); i < 20; i++ {
+		mixed = append(mixed, i, 3*linetab.PageLines+i, linetab.Dense-10+i, 1<<40+i, (1<<61-1)-i)
 	}
-	curve := p.Curve(capacities)
-	for i, c := range capacities {
-		want := lrus[i].Stats()
-		got := curve[i]
-		if got.ReadMisses != want.ReadMisses || got.WriteMisses != want.WriteMisses {
-			t.Errorf("capacity %d: profiler (r=%d,w=%d) vs LRU (r=%d,w=%d)",
-				c, got.ReadMisses, got.WriteMisses, want.ReadMisses, want.WriteMisses)
+	for _, lines := range [][]uint64{dense, mixed} {
+		p := MustStackProfiler(8)
+		lrus := make([]*LRU, len(capacities))
+		for i, c := range capacities {
+			lrus[i] = MustLRU(c, 8)
 		}
-		single := p.MissesAt(c)
-		if single != got {
-			t.Errorf("capacity %d: MissesAt disagrees with Curve: %+v vs %+v", c, single, got)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 50000; i++ {
+			addr := lines[rng.Intn(len(lines))] * 8
+			read := rng.Intn(3) != 0
+			p.Access(addr, 8, read)
+			for _, c := range lrus {
+				c.Access(addr, read)
+			}
+		}
+		curve := p.Curve(capacities)
+		for i, c := range capacities {
+			want := lrus[i].Stats()
+			got := curve[i]
+			if got.ReadMisses != want.ReadMisses || got.WriteMisses != want.WriteMisses {
+				t.Errorf("lines %d..%d capacity %d: profiler (r=%d,w=%d) vs LRU (r=%d,w=%d)",
+					lines[0], lines[len(lines)-1], c, got.ReadMisses, got.WriteMisses, want.ReadMisses, want.WriteMisses)
+			}
+			single := p.MissesAt(c)
+			if single != got {
+				t.Errorf("capacity %d: MissesAt disagrees with Curve: %+v vs %+v", c, single, got)
+			}
+		}
+		if p.DistinctLines() != len(lines) {
+			t.Errorf("DistinctLines = %d, want %d", p.DistinctLines(), len(lines))
 		}
 	}
 }
@@ -454,6 +484,45 @@ func TestStackProfilerCompaction(t *testing.T) {
 	want := lru.Stats()
 	if got.ReadMisses != want.ReadMisses {
 		t.Fatalf("after compaction: profiler %d misses vs LRU %d", got.ReadMisses, want.ReadMisses)
+	}
+}
+
+// TestCompactionPhantomSlot pins a known defect of compaction. When a
+// compaction lands on a hit, the line's freed position is renumbered as
+// occupied and stays occupied, with no owner, until the next compaction,
+// adding 1 to the stack distance of every older line meanwhile. Here
+// 1,000 cyclic lines with a hot line touched between each fit a
+// 1,001-line LRU cache after the cold pass, so LRU misses 1,001 times;
+// after each phantom the profiler misses on cyclic lines until the next
+// compaction. The counts below are the profiler's today. Removing the
+// phantom moves the paper-scale figures, so the fix waits for a change
+// that re-records them (ROADMAP), and that change flips this test to
+// equality with LRU.
+func TestCompactionPhantomSlot(t *testing.T) {
+	const hot = 5000
+	for _, c := range []struct {
+		hotFirst bool
+		want     uint64
+	}{{false, 4997}, {true, 5996}} {
+		p := MustStackProfiler(8)
+		lru := MustLRU(1001, 8)
+		for i := 0; i < 300000; i++ {
+			pair := [2]uint64{uint64(i % 1000), hot}
+			if c.hotFirst {
+				pair[0], pair[1] = pair[1], pair[0]
+			}
+			for _, line := range pair {
+				p.Access(line*8, 8, true)
+				lru.Access(line*8, true)
+			}
+		}
+		if got := lru.Stats().ReadMisses; got != 1001 {
+			t.Fatalf("hot first %v: LRU misses = %d, want 1001", c.hotFirst, got)
+		}
+		if got := p.MissesAt(1001).ReadMisses; got != c.want {
+			t.Errorf("hot first %v: profiler misses at 1,001 lines = %d, want %d (the phantom-slot count)",
+				c.hotFirst, got, c.want)
+		}
 	}
 }
 

@@ -11,17 +11,23 @@ func newFenwick(n int) *fenwick {
 	return &fenwick{tree: make([]int, n+1)}
 }
 
-// reset re-dimensions the tree to n positions, all zero, reusing the
-// existing storage when it is large enough. The profiler compacts every
-// ~size references at steady state; without reuse each compaction
-// reallocates a half-megabyte tree.
-func (f *fenwick) reset(n int) {
+// fill re-dimensions the tree to n positions, with positions 1..k holding
+// 1 and the rest 0, in one O(n) pass that reuses the existing storage when
+// it is large enough. The profiler compacts every ~size references at
+// steady state; without reuse each compaction reallocates a
+// half-megabyte tree.
+func (f *fenwick) fill(n, k int) {
 	if cap(f.tree) >= n+1 {
 		f.tree = f.tree[:n+1]
-		clear(f.tree)
-		return
+	} else {
+		f.tree = make([]int, n+1)
 	}
-	f.tree = make([]int, n+1)
+	// Node i sums the low = lowbit(i) positions (i-low, i]; those in
+	// 1..k number min(low, k-(i-low)), or none.
+	for i := 1; i <= n; i++ {
+		low := i & -i
+		f.tree[i] = min(max(k-(i-low), 0), low)
+	}
 }
 
 // size reports the number of positions.

@@ -4,7 +4,7 @@ package cache
 // coherence misses. The paper uses infinite caches to isolate the inherent
 // communication miss rate, the asymptote every working-set curve flattens to.
 type Infinite struct {
-	lineSize    uint32
+	shift       uint // log2 of the line size
 	resident    map[uint64]struct{}
 	invalidated map[uint64]struct{}
 	stats       Stats
@@ -12,9 +12,8 @@ type Infinite struct {
 
 // NewInfinite builds an infinite cache with the given line size.
 func NewInfinite(lineSize uint32) *Infinite {
-	lineShift(lineSize)
 	return &Infinite{
-		lineSize:    lineSize,
+		shift:       lineShift(lineSize),
 		resident:    make(map[uint64]struct{}),
 		invalidated: make(map[uint64]struct{}),
 	}
@@ -22,7 +21,7 @@ func NewInfinite(lineSize uint32) *Infinite {
 
 // Access touches the line containing addr.
 func (c *Infinite) Access(addr uint64, read bool) AccessResult {
-	line := Line(addr, c.lineSize)
+	line := addr >> c.shift
 	var res AccessResult
 	if _, ok := c.resident[line]; ok {
 		res = Hit
@@ -39,7 +38,7 @@ func (c *Infinite) Access(addr uint64, read bool) AccessResult {
 
 // Invalidate removes the line containing addr.
 func (c *Infinite) Invalidate(addr uint64) {
-	line := Line(addr, c.lineSize)
+	line := addr >> c.shift
 	if _, ok := c.resident[line]; ok {
 		delete(c.resident, line)
 		c.invalidated[line] = struct{}{}

@@ -11,6 +11,7 @@ import (
 // Capacity is expressed in lines; byte capacity is capacityLines*lineSize.
 type LRU struct {
 	lineSize uint32
+	shift    uint // log2(lineSize)
 	capacity int
 
 	// Intrusive doubly linked list over table entries, most recent first.
@@ -49,6 +50,7 @@ func NewLRU(capacityLines int, lineSize uint32) (*LRU, error) {
 	}
 	return &LRU{
 		lineSize:    lineSize,
+		shift:       lineShift(lineSize),
 		capacity:    capacityLines,
 		table:       make(map[uint64]*lruNode, capacityLines+1),
 		invalidated: make(map[uint64]struct{}),
@@ -80,8 +82,7 @@ func (c *LRU) Len() int { return len(c.table) }
 // Writes mark the line dirty; its eventual eviction or invalidation
 // counts as a writeback.
 func (c *LRU) Access(addr uint64, read bool) AccessResult {
-	line := Line(addr, c.lineSize)
-	res := c.touch(line, !read)
+	res := c.touch(addr>>c.shift, !read)
 	c.stats.Record(read, res)
 	return res
 }
@@ -173,7 +174,7 @@ func (c *LRU) unlink(n *lruNode) {
 // access is a coherence miss. Invalidating an absent line still marks it:
 // the remote write communicated fresh data either way.
 func (c *LRU) Invalidate(addr uint64) {
-	line := Line(addr, c.lineSize)
+	line := addr >> c.shift
 	if n, ok := c.table[line]; ok {
 		c.evict(n)
 	}
@@ -184,7 +185,7 @@ func (c *LRU) Invalidate(addr uint64) {
 
 // Contains reports whether the line holding addr is resident.
 func (c *LRU) Contains(addr uint64) bool {
-	_, ok := c.table[Line(addr, c.lineSize)]
+	_, ok := c.table[addr>>c.shift]
 	return ok
 }
 

@@ -22,6 +22,11 @@ type Profiler interface {
 	// the line into a coherence hole (see StackProfiler).
 	Access(addr uint64, size uint32, read bool)
 	Invalidate(addr uint64)
+	// AccessLine processes a one-line reference to the line containing
+	// addr and reports whether the profiled stack took a miss at every
+	// capacity (cold or coherence), whether or not measurement is on.
+	// Under sampling only sampled lines can report one.
+	AccessLine(addr uint64, read bool) (miss bool)
 
 	// Measurement window control (cold-start exclusion).
 	SetMeasuring(on bool)
@@ -182,23 +187,34 @@ func (p *SampledStackProfiler) Access(addr uint64, size uint32, read bool) {
 		return
 	}
 	p.inner.mAccesses.Inc()
-	first := Line(addr, p.inner.lineSize)
-	last := Line(addr+uint64(size)-1, p.inner.lineSize)
+	first := addr >> p.inner.shift
+	last := (addr + uint64(size) - 1) >> p.inner.shift
 	for line := first; ; line++ {
-		if p.inner.measuring {
-			if read {
-				p.reads++
-			} else {
-				p.writes++
-			}
-		}
-		if p.sampled(line) {
-			p.inner.touch(line, read)
-		}
+		p.count(line, read)
 		if line == last {
 			break
 		}
 	}
+}
+
+// AccessLine processes a one-line reference to the line containing addr
+// and reports whether it was sampled and missed at every capacity.
+func (p *SampledStackProfiler) AccessLine(addr uint64, read bool) bool {
+	p.inner.mAccesses.Inc()
+	return p.count(addr>>p.inner.shift, read)
+}
+
+// count adds one line access to the full-stream totals and feeds a
+// sampled line to the inner stack, reporting whether it missed there.
+func (p *SampledStackProfiler) count(line uint64, read bool) bool {
+	if p.inner.measuring {
+		if read {
+			p.reads++
+		} else {
+			p.writes++
+		}
+	}
+	return p.sampled(line) && p.inner.touch(line, read)
 }
 
 // Ref feeds one reference to the profiler (the issuing PE is ignored, as
@@ -218,7 +234,7 @@ func (p *SampledStackProfiler) Refs(block []trace.Ref) {
 // profiler; invalidations of unsampled lines cannot affect the sampled
 // stack and are dropped.
 func (p *SampledStackProfiler) Invalidate(addr uint64) {
-	if p.sampled(Line(addr, p.inner.lineSize)) {
+	if p.sampled(addr >> p.inner.shift) {
 		p.inner.Invalidate(addr)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wsstudy/internal/fault"
@@ -197,5 +198,59 @@ func TestSampledInvalidate(t *testing.T) {
 	r, _ := samp.CoherenceMisses()
 	if r != rate {
 		t.Errorf("coherence read misses = %d, want %d (1 sampled invalidation x rate)", r, rate)
+	}
+}
+
+// TestAccessLineReportsMisses holds AccessLine to the contract memsys
+// classifies misses by: it reports a miss exactly when the profiler's
+// cold or coherence count grows (measurement on), it reports misses with
+// measurement off too, and it leaves the profiler in the state Access
+// with a one-byte reference would, for the exact and the sampled
+// profiler alike.
+func TestAccessLineReportsMisses(t *testing.T) {
+	for _, rate := range []int{1, 4} {
+		p, _ := NewProfiler(8, rate)
+		twin, _ := NewProfiler(8, rate)
+		rng := rand.New(rand.NewSource(5))
+		misses := func() uint64 {
+			cr, cw := p.ColdMisses()
+			hr, hw := p.CoherenceMisses()
+			return cr + cw + hr + hw
+		}
+		warmMisses := 0
+		for i := 0; i < 30000; i++ {
+			measuring := i >= 5000
+			p.SetMeasuring(measuring)
+			twin.SetMeasuring(measuring)
+			addr := uint64(rng.Intn(400))*8 + uint64(rng.Intn(8))
+			if rng.Intn(20) == 0 {
+				p.Invalidate(addr)
+				twin.Invalidate(addr)
+				continue
+			}
+			read := rng.Intn(3) != 0
+			before := misses()
+			miss := p.AccessLine(addr, read)
+			twin.Access(addr, 1, read)
+			if !measuring {
+				if miss {
+					warmMisses++
+				}
+				continue
+			}
+			if grew := misses() > before; miss != grew {
+				t.Fatalf("rate %d step %d: AccessLine = %v, miss counts grew %v", rate, i, miss, grew)
+			}
+		}
+		if warmMisses == 0 {
+			t.Errorf("rate %d: no miss reported while not measuring", rate)
+		}
+		caps := []int{1, 4, 16, 64, 256, 1024}
+		if got, want := p.Curve(caps), twin.Curve(caps); !slices.Equal(got, want) {
+			t.Errorf("rate %d: AccessLine curve %v, Access curve %v", rate, got, want)
+		}
+		if p.Reads() != twin.Reads() || p.Writes() != twin.Writes() || p.DistinctLines() != twin.DistinctLines() {
+			t.Errorf("rate %d: AccessLine totals diverge from Access", rate)
+		}
 	}
 }

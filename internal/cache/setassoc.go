@@ -16,6 +16,7 @@ import (
 // conflict; eviction when total occupancy equals capacity is capacity).
 type SetAssoc struct {
 	lineSize uint32
+	shift    uint // log2(lineSize)
 	sets     int
 	assoc    int
 
@@ -58,6 +59,7 @@ func NewSetAssoc(capacityLines, assoc int, lineSize uint32) (*SetAssoc, error) {
 	}
 	return &SetAssoc{
 		lineSize:    lineSize,
+		shift:       lineShift(lineSize),
 		sets:        sets,
 		assoc:       assoc,
 		ways:        ways,
@@ -104,8 +106,7 @@ func (c *SetAssoc) setIndex(line uint64) int {
 
 // Access touches the line containing addr and returns the outcome.
 func (c *SetAssoc) Access(addr uint64, read bool) AccessResult {
-	line := Line(addr, c.lineSize)
-	res := c.touch(line)
+	res := c.touch(addr >> c.shift)
 	c.stats.Record(read, res)
 	return res
 }
@@ -155,7 +156,7 @@ func (c *SetAssoc) touch(line uint64) AccessResult {
 // Invalidate removes the line containing addr if resident and marks its next
 // access as a coherence miss.
 func (c *SetAssoc) Invalidate(addr uint64) {
-	line := Line(addr, c.lineSize)
+	line := addr >> c.shift
 	si := c.setIndex(line)
 	set := c.ways[si]
 	for i := range set {

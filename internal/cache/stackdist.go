@@ -1,9 +1,9 @@
 package cache
 
 import (
-	"slices"
 	"sort"
 
+	"wsstudy/internal/linetab"
 	"wsstudy/internal/obs"
 )
 
@@ -27,27 +27,36 @@ import (
 // from the distance histogram.
 //
 // Exactness: without invalidations the profiler matches per-size LRU
-// simulation bit-exactly (Mattson's theorem; the tests assert it). With
-// invalidations, caches of different sizes fill freed slots at different
-// times, so no single-pass stack algorithm can be exact; the hole model
-// above can overstate the stack depth of lines that sit below a hole a
-// small cache has already refilled. The error is bounded by the number of
-// invalidations and is negligible at the communication rates of the paper's
-// applications (0.1%-2%). Experiments needing exactness under heavy
-// coherence traffic use Bank, the per-size simulation.
+// simulation exactly between compactions (Mattson's theorem; the tests
+// assert it). A compaction that lands on a hit leaves one phantom slot
+// behind (see compact), which can add 1 to later stack distances until
+// the next compaction. With invalidations, caches of different sizes
+// fill freed slots at different times, so no single-pass stack algorithm
+// can be exact; the hole model above can overstate the stack depth of
+// lines that sit below a hole a small cache has already refilled. The
+// error is bounded by the number of invalidations and is negligible at
+// the communication rates of the paper's applications (0.1%-2%).
+// Experiments needing exactness under heavy coherence traffic use Bank,
+// the per-size simulation.
 //
 // Cold-start exclusion: references made before StartMeasuring update the
 // LRU state but are not counted, mirroring the paper's practice of omitting
 // the first iterations of iterative applications.
 type StackProfiler struct {
 	lineSize uint32
+	shift    uint // log2(lineSize)
 
-	lastPos     map[uint64]int // line -> fenwick position of latest access
-	invalidated map[uint64]struct{}
-	holes       []int // positions of invalidation holes, sorted ascending
-	fen         *fenwick
-	clock       int        // last used fenwick position
-	scratch     []stackEnt // compaction workspace, reused across compactions
+	// slots holds one entry per line: > 0 is the fenwick position of the
+	// line's latest access (the line is resident), slotInvalidated marks a
+	// line whose copy was invalidated, and 0 a line never seen. The tree
+	// never holds more than 2·(lines + holes) + 2 positions, so int32
+	// positions cover 2^30 resident lines.
+	slots    linetab.Table[int32]
+	owner    []uint64 // owner[pos] is the line last given position pos; len clock+1
+	resident int      // lines with a position
+	holes    []int    // positions of invalidation holes, sorted ascending
+	fen      *fenwick
+	clock    int // last used fenwick position
 
 	measuring bool
 
@@ -62,7 +71,10 @@ type StackProfiler struct {
 	mQueries  *obs.Counter
 }
 
-const initialFenwickSize = 1 << 16
+const (
+	initialFenwickSize = 1 << 16
+	slotInvalidated    = -1
+)
 
 // NewStackProfiler builds a profiler for the given line size (which must be
 // a power of two; violations return an error wrapping ErrInvalidConfig).
@@ -72,13 +84,13 @@ func NewStackProfiler(lineSize uint32) (*StackProfiler, error) {
 		return nil, err
 	}
 	return &StackProfiler{
-		lineSize:    lineSize,
-		lastPos:     make(map[uint64]int),
-		invalidated: make(map[uint64]struct{}),
-		fen:         newFenwick(initialFenwickSize),
-		measuring:   true,
-		histRead:    make([]uint64, 1),
-		histWrite:   make([]uint64, 1),
+		lineSize:  lineSize,
+		shift:     lineShift(lineSize),
+		owner:     make([]uint64, 1),
+		fen:       newFenwick(initialFenwickSize),
+		measuring: true,
+		histRead:  make([]uint64, 1),
+		histWrite: make([]uint64, 1),
 	}, nil
 }
 
@@ -108,8 +120,8 @@ func (p *StackProfiler) Access(addr uint64, size uint32, read bool) {
 		return
 	}
 	p.mAccesses.Inc()
-	first := Line(addr, p.lineSize)
-	last := Line(addr+uint64(size)-1, p.lineSize)
+	first := addr >> p.shift
+	last := (addr + uint64(size) - 1) >> p.shift
 	for line := first; ; line++ {
 		p.touch(line, read)
 		if line == last {
@@ -118,7 +130,17 @@ func (p *StackProfiler) Access(addr uint64, size uint32, read bool) {
 	}
 }
 
-func (p *StackProfiler) touch(line uint64, read bool) {
+// AccessLine processes a one-line reference to the line containing addr
+// and reports whether it missed at every capacity (a cold or coherence
+// miss), whether or not measurement is on.
+func (p *StackProfiler) AccessLine(addr uint64, read bool) bool {
+	p.mAccesses.Inc()
+	return p.touch(addr>>p.shift, read)
+}
+
+// touch moves line to the top of the stack and reports whether it missed
+// at every capacity.
+func (p *StackProfiler) touch(line uint64, read bool) bool {
 	if p.measuring {
 		if read {
 			p.reads++
@@ -126,10 +148,12 @@ func (p *StackProfiler) touch(line uint64, read bool) {
 			p.writes++
 		}
 	}
-	pos, resident := p.lastPos[line]
-	if resident {
+	slot := p.slots.Ptr(line)
+	miss := *slot <= 0
+	if !miss {
 		// Distance counts every occupied position (lines and holes) from
 		// the line's slot to the top of the stack, inclusive.
+		pos := int(*slot)
 		d := p.fen.rangeSum(pos+1, p.clock) + 1
 		if p.measuring {
 			p.recordDistance(d, read)
@@ -139,22 +163,22 @@ func (p *StackProfiler) touch(line uint64, read bool) {
 		// Miss at every capacity: classify, then fill the shallowest hole
 		// (the free slot every affected cache has).
 		if p.measuring {
-			if _, inv := p.invalidated[line]; inv {
-				if read {
-					p.cohRead++
-				} else {
-					p.cohWrite++
-				}
-			} else if read {
+			switch {
+			case *slot == slotInvalidated && read:
+				p.cohRead++
+			case *slot == slotInvalidated:
+				p.cohWrite++
+			case read:
 				p.coldRead++
-			} else {
+			default:
 				p.coldWrite++
 			}
 		}
-		delete(p.invalidated, line)
+		p.resident++
 		p.consumeHole()
 	}
-	p.advance(line)
+	*slot = int32(p.advance(line))
+	return miss
 }
 
 // consumeHole removes the most recent (highest-position, shallowest) hole.
@@ -168,56 +192,56 @@ func (p *StackProfiler) consumeHole() {
 	p.fen.add(pos, -1)
 }
 
-// advance assigns the next fenwick position to line, compacting when full.
-func (p *StackProfiler) advance(line uint64) {
+// advance gives line the next fenwick position, compacting when full, and
+// returns it.
+func (p *StackProfiler) advance(line uint64) int {
 	if p.clock >= p.fen.size() {
 		p.compact()
 	}
 	p.clock++
-	p.lastPos[line] = p.clock
+	p.owner = append(p.owner, line)
 	p.fen.add(p.clock, 1)
+	return p.clock
 }
 
-// stackEnt is one surviving stack position (a line or a hole) during
-// compaction.
-type stackEnt struct {
-	line uint64
-	pos  int
-	hole bool
-}
-
-// compact renumbers the surviving positions 1..k (lines and holes),
-// preserving order, and resizes the tree so position space never exhausts.
-// The workspace slice and the Fenwick tree are reused across compactions —
-// at steady state a compaction runs every ~tree-size references, and
-// reallocating both each time made the allocator a measurable fraction of
-// profiling (an AllocsPerRun test pins the reuse down).
+// compact renumbers the occupied positions 1..n (lines and holes),
+// preserving order, and resizes the tree so position space never
+// exhausts. A position is occupied when it is a hole or its owner's slot
+// still points at it, so one walk over owner renumbers the stack in place
+// without a sort; the tree and owner are reused across compactions (an
+// AllocsPerRun test pins the reuse down).
+//
+// Phantom slot: a hit frees the line's old position in the tree before
+// advance gives it a new one, and advance may compact in between. The
+// line's slot still names the old position then, so the walk renumbers
+// it as occupied; advance then moves the line on, and the renumbered
+// position stays occupied with no owner until the next compaction,
+// adding 1 to the stack distance of every older line meanwhile. The
+// reported figures depend on it, so it stays until they are re-recorded
+// (TestCompactionPhantomSlot pins the counts).
 func (p *StackProfiler) compact() {
-	alive := p.scratch[:0]
-	for line, pos := range p.lastPos {
-		alive = append(alive, stackEnt{line: line, pos: pos})
+	n, h := 0, 0
+	for pos := 1; pos <= p.clock; pos++ {
+		if h < len(p.holes) && p.holes[h] == pos {
+			n++
+			p.holes[h] = n
+			h++
+			continue
+		}
+		line := p.owner[pos]
+		if slot := p.slots.Ptr(line); int(*slot) == pos {
+			n++
+			*slot = int32(n)
+			p.owner[n] = line
+		}
 	}
-	for _, pos := range p.holes {
-		alive = append(alive, stackEnt{pos: pos, hole: true})
-	}
-	slices.SortFunc(alive, func(a, b stackEnt) int { return a.pos - b.pos })
 	size := initialFenwickSize
-	for size < 2*len(alive)+2 {
+	for size < 2*n+2 {
 		size *= 2
 	}
-	p.fen.reset(size)
-	p.holes = p.holes[:0]
-	for i, e := range alive {
-		if e.hole {
-			p.holes = append(p.holes, i+1)
-		} else {
-			p.lastPos[e.line] = i + 1
-		}
-		p.fen.add(i+1, 1)
-	}
-	sort.Ints(p.holes)
-	p.clock = len(alive)
-	p.scratch = alive[:0]
+	p.fen.fill(size, n)
+	p.owner = p.owner[:n+1]
+	p.clock = n
 }
 
 func (p *StackProfiler) recordDistance(d int, read bool) {
@@ -234,13 +258,13 @@ func (p *StackProfiler) recordDistance(d int, read bool) {
 // Invalidate turns the line's stack position into a hole; its next access
 // is a coherence miss at every capacity.
 func (p *StackProfiler) Invalidate(addr uint64) {
-	line := Line(addr, p.lineSize)
-	pos, ok := p.lastPos[line]
-	if !ok {
+	line := addr >> p.shift
+	pos := int(p.slots.Get(line))
+	if pos <= 0 {
 		return
 	}
-	delete(p.lastPos, line)
-	p.invalidated[line] = struct{}{}
+	*p.slots.Ptr(line) = slotInvalidated
+	p.resident--
 	// Record the hole, keeping the slice sorted (holes are usually few).
 	i := sort.SearchInts(p.holes, pos)
 	p.holes = append(p.holes, 0)
@@ -249,7 +273,7 @@ func (p *StackProfiler) Invalidate(addr uint64) {
 }
 
 // DistinctLines reports how many distinct lines are currently on the stack.
-func (p *StackProfiler) DistinctLines() int { return len(p.lastPos) }
+func (p *StackProfiler) DistinctLines() int { return p.resident }
 
 // Reads reports measured read accesses.
 func (p *StackProfiler) Reads() uint64 { return p.reads }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"wsstudy/internal/linetab"
 	"wsstudy/internal/obs"
 )
 
@@ -22,141 +23,52 @@ import (
 // errors.Is.
 var ErrInvalidConfig = errors.New("coherence: invalid configuration")
 
-// PESet is a set of processor ids. Most directory lines have one or two
-// sharers at any instant (a producer and a consumer), so the set starts in
-// an inline two-slot representation that allocates nothing; the third
-// distinct member spills to a bit vector sized for the full processor
-// count. At P=1024 the old eager bit vector cost 128 B per line before a
-// single sharer existed — the inline form is what keeps a paper-scale
-// directory resident.
-type PESet struct {
-	// s0 and s1 are the inline slots, storing pe+1 so zero means empty.
-	s0, s1 uint32
-	// n is the id bound [0, n) the spill vector must cover.
-	n int32
-	// words is the spilled bit vector; nil while the set is inline.
-	words []uint64
+// entry is one line's directory state in 16 pointer-free bytes, so a
+// page of entries is never scanned by the garbage collector, and the zero
+// entry (no sharers, clean) is the state of a line never touched. A line
+// is Modified when owner is set; otherwise it is Shared by its sharers
+// (possibly nobody).
+//
+// Most lines have one or two sharers at any instant (a producer and a
+// consumer), so two sharers live inline. The third distinct sharer
+// spills the set to a bit vector in the directory's side table, sized for
+// the full processor count; at P=1024 an eager bit vector would cost
+// 128 B per line before a single sharer existed.
+type entry struct {
+	s0, s1 uint32 // inline sharers as pe+1; 0 is an empty slot
+	owner  uint32 // pe+1 of the processor holding the line modified; 0 is clean
+	vec    uint32 // 1 + index of the spilled sharer vector; 0 while inline
 }
 
-// NewPESet returns an empty set able to hold ids in [0, n).
-func NewPESet(n int) PESet {
-	return PESet{n: int32(n)}
+// sharerVecs is the side table of spilled sharer bit vectors: vector id
+// is words[(id-1)*stride : id*stride]. A write retakes its line's sharer
+// set and releases the vector to free, which later spills reuse before
+// the table grows.
+type sharerVecs struct {
+	stride int
+	words  []uint64
+	free   []uint32
 }
 
-// spill converts the inline representation to the bit vector, preserving
-// the current members.
-func (s *PESet) spill() {
-	s.words = make([]uint64, (int(s.n)+63)/64)
-	for _, v := range [2]uint32{s.s0, s.s1} {
-		if v != 0 {
-			pe := int(v - 1)
-			s.words[pe>>6] |= 1 << (uint(pe) & 63)
-		}
-	}
-	s.s0, s.s1 = 0, 0
+func (v *sharerVecs) get(id uint32) []uint64 {
+	i := int(id-1) * v.stride
+	return v.words[i : i+v.stride : i+v.stride]
 }
 
-// Add inserts pe into the set.
-func (s *PESet) Add(pe int) {
-	if s.words != nil {
-		s.words[pe>>6] |= 1 << (uint(pe) & 63)
-		return
+// alloc returns the id of a zeroed vector.
+func (v *sharerVecs) alloc() uint32 {
+	if n := len(v.free); n > 0 {
+		id := v.free[n-1]
+		v.free = v.free[:n-1]
+		return id
 	}
-	v := uint32(pe) + 1
-	if s.s0 == v || s.s1 == v {
-		return
-	}
-	if s.s0 == 0 {
-		s.s0 = v
-		return
-	}
-	if s.s1 == 0 {
-		s.s1 = v
-		return
-	}
-	s.spill()
-	s.words[pe>>6] |= 1 << (uint(pe) & 63)
+	v.words = append(v.words, make([]uint64, v.stride)...)
+	return uint32(len(v.words) / v.stride)
 }
 
-// Remove deletes pe from the set.
-func (s *PESet) Remove(pe int) {
-	if s.words != nil {
-		s.words[pe>>6] &^= 1 << (uint(pe) & 63)
-		return
-	}
-	v := uint32(pe) + 1
-	if s.s0 == v {
-		s.s0 = 0
-	}
-	if s.s1 == v {
-		s.s1 = 0
-	}
-}
-
-// Contains reports whether pe is in the set.
-func (s *PESet) Contains(pe int) bool {
-	if s.words != nil {
-		return s.words[pe>>6]&(1<<(uint(pe)&63)) != 0
-	}
-	v := uint32(pe) + 1
-	return s.s0 == v || s.s1 == v
-}
-
-// Clear empties the set and returns it to the allocation-free inline form
-// (a write retakes every line's sharer set, so clearing is the common path
-// back to the one-sharer state).
-func (s *PESet) Clear() {
-	s.s0, s.s1 = 0, 0
-	s.words = nil
-}
-
-// Len counts the members.
-func (s *PESet) Len() int {
-	if s.words != nil {
-		n := 0
-		for _, w := range s.words {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	n := 0
-	if s.s0 != 0 {
-		n++
-	}
-	if s.s1 != 0 {
-		n++
-	}
-	return n
-}
-
-// ForEach calls f for every member in ascending order.
-func (s *PESet) ForEach(f func(pe int)) {
-	if s.words == nil {
-		a, b := s.s0, s.s1
-		if a != 0 && b != 0 && b < a {
-			a, b = b, a
-		}
-		if a != 0 {
-			f(int(a - 1))
-		}
-		if b != 0 {
-			f(int(b - 1))
-		}
-		return
-	}
-	for i, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			f(i*64 + bits.TrailingZeros64(w))
-		}
-	}
-}
-
-// lineState is the per-line directory entry. A line is Modified when dirty
-// holds; otherwise it is Shared by everyone in sharers (possibly nobody).
-type lineState struct {
-	sharers PESet
-	dirty   bool
-	owner   int
+func (v *sharerVecs) release(id uint32) {
+	clear(v.get(id))
+	v.free = append(v.free, id)
 }
 
 // Invalidator receives invalidation messages for a processor's cache.
@@ -177,11 +89,14 @@ type Stats struct {
 // Directory is a full-map, write-invalidate directory over cache lines.
 // It is deliberately protocol-level only: it tracks sharer sets and sends
 // invalidations, leaving miss classification to the per-processor caches.
+// Its entries live in a paged line table (internal/linetab), so a
+// transaction costs two slice indexes, not a hash probe and a heap
+// object per line.
 type Directory struct {
-	numPEs   int
 	lineSize uint32
 	shift    uint // log2(lineSize), precomputed once
-	lines    map[uint64]*lineState
+	lines    linetab.Table[entry]
+	vecs     sharerVecs
 	caches   []Invalidator
 	stats    Stats
 
@@ -243,15 +158,10 @@ func NewDirectory(numPEs int, lineSize uint32, caches []Invalidator) (*Directory
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("%w: line size %d is not a power of two", ErrInvalidConfig, lineSize)
 	}
-	shift := uint(0)
-	for l := lineSize; l > 1; l >>= 1 {
-		shift++
-	}
 	return &Directory{
-		numPEs:   numPEs,
 		lineSize: lineSize,
-		shift:    shift,
-		lines:    make(map[uint64]*lineState),
+		shift:    uint(bits.TrailingZeros32(lineSize)),
+		vecs:     sharerVecs{stride: (numPEs + 63) / 64},
 		caches:   caches,
 	}, nil
 }
@@ -266,13 +176,89 @@ func MustDirectory(numPEs int, lineSize uint32, caches []Invalidator) *Directory
 	return d
 }
 
-func (d *Directory) entry(line uint64) *lineState {
-	e, ok := d.lines[line]
-	if !ok {
-		e = &lineState{sharers: NewPESet(d.numPEs)}
-		d.lines[line] = e
+// addSharer inserts pe into e's sharer set, spilling the set to a bit
+// vector at its third distinct member.
+func (d *Directory) addSharer(e *entry, pe int) {
+	if e.vec != 0 {
+		d.vecs.get(e.vec)[pe>>6] |= 1 << (uint(pe) & 63)
+		return
 	}
-	return e
+	v := uint32(pe) + 1
+	switch {
+	case e.s0 == v || e.s1 == v:
+	case e.s0 == 0:
+		e.s0 = v
+	case e.s1 == 0:
+		e.s1 = v
+	default:
+		e.vec = d.vecs.alloc()
+		vec := d.vecs.get(e.vec)
+		for _, s := range [3]uint32{e.s0, e.s1, v} {
+			vec[(s-1)>>6] |= 1 << ((s - 1) & 63)
+		}
+		e.s0, e.s1 = 0, 0
+	}
+}
+
+// sharerCount counts e's sharers.
+func (d *Directory) sharerCount(e entry) int {
+	n := 0
+	if e.vec != 0 {
+		for _, w := range d.vecs.get(e.vec) {
+			n += bits.OnesCount64(w)
+		}
+		return n
+	}
+	if e.s0 != 0 {
+		n++
+	}
+	if e.s1 != 0 {
+		n++
+	}
+	return n
+}
+
+// retake makes pe the line's only sharer and its modified owner. Every
+// other copy is invalidated, in ascending PE order, with the line's base
+// address addr; retake reports how many copies that was.
+func (d *Directory) retake(e *entry, pe int, addr uint64) int {
+	n := 0
+	if e.vec != 0 {
+		for i, w := range d.vecs.get(e.vec) {
+			for ; w != 0; w &= w - 1 {
+				if other := i*64 + bits.TrailingZeros64(w); other != pe {
+					d.invalidate(other, addr)
+					n++
+				}
+			}
+		}
+		d.vecs.release(e.vec)
+	} else {
+		a, b := e.s0, e.s1
+		if a > b {
+			a, b = b, a
+		}
+		if a != 0 && int(a-1) != pe {
+			d.invalidate(int(a-1), addr)
+			n++
+		}
+		if b != 0 && int(b-1) != pe {
+			d.invalidate(int(b-1), addr)
+			n++
+		}
+	}
+	me := uint32(pe) + 1
+	*e = entry{s0: me, owner: me}
+	return n
+}
+
+// invalidate removes pe's copy of the line at addr.
+func (d *Directory) invalidate(pe int, addr uint64) {
+	d.stats.Invalidations++
+	d.mInvals.Inc()
+	if c := d.caches[pe]; c != nil {
+		c.Invalidate(addr)
+	}
 }
 
 // Read registers a read of the line containing addr by pe. A dirty copy
@@ -288,13 +274,13 @@ func (d *Directory) Read(pe int, addr uint64) {
 func (d *Directory) ReadLine(pe int, line uint64) {
 	d.stats.ReadRequests++
 	d.mReads.Inc()
-	e := d.entry(line)
-	if e.dirty && e.owner != pe {
-		e.dirty = false
+	e := d.lines.Ptr(line)
+	if e.owner != 0 && e.owner != uint32(pe)+1 {
+		e.owner = 0
 		d.stats.Downgrades++
 		d.mDowngrades.Inc()
 	}
-	e.sharers.Add(pe)
+	d.addSharer(e, pe)
 }
 
 // Write registers a write of the line containing addr by pe, invalidating
@@ -310,43 +296,20 @@ func (d *Directory) Write(pe int, addr uint64) {
 func (d *Directory) WriteLine(pe int, line uint64) {
 	d.stats.WriteRequests++
 	d.mWrites.Inc()
-	e := d.entry(line)
-	addr := line << d.shift
-	invalidated := false
-	e.sharers.ForEach(func(other int) {
-		if other == pe {
-			return
-		}
-		d.stats.Invalidations++
-		d.mInvals.Inc()
-		invalidated = true
-		if c := d.caches[other]; c != nil {
-			c.Invalidate(addr)
-		}
-	})
-	if invalidated {
+	if d.retake(d.lines.Ptr(line), pe, line<<d.shift) > 0 {
 		d.stats.InvalidatingWrites++
 		d.mInvalWrites.Inc()
 	}
-	e.sharers.Clear()
-	e.sharers.Add(pe)
-	e.dirty = true
-	e.owner = pe
 }
 
 // Sharers reports how many processors hold the line containing addr.
 func (d *Directory) Sharers(addr uint64) int {
-	e, ok := d.lines[addr>>d.shift]
-	if !ok {
-		return 0
-	}
-	return e.sharers.Len()
+	return d.sharerCount(d.lines.Get(addr >> d.shift))
 }
 
 // IsDirty reports whether the line containing addr is held modified.
 func (d *Directory) IsDirty(addr uint64) bool {
-	e, ok := d.lines[addr>>d.shift]
-	return ok && e.dirty
+	return d.lines.Get(addr>>d.shift).owner != 0
 }
 
 // Stats returns the accumulated protocol statistics.

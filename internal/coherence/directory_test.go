@@ -3,64 +3,122 @@ package coherence
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wsstudy/internal/cache"
+	"wsstudy/internal/linetab"
 )
 
-func TestPESetBasics(t *testing.T) {
-	s := NewPESet(130)
-	for _, pe := range []int{0, 63, 64, 129} {
-		s.Add(pe)
+// inval is one invalidation message: the PE whose copy was removed and
+// the line address it was sent.
+type inval struct {
+	pe   int
+	addr uint64
+}
+
+// invalLog records every invalidation a directory sends, in order.
+type invalLog struct{ got []inval }
+
+type peInval struct {
+	log *invalLog
+	pe  int
+}
+
+func (c peInval) Invalidate(addr uint64) { c.log.got = append(c.log.got, inval{c.pe, addr}) }
+
+// caches returns one recording invalidator per processor.
+func (l *invalLog) caches(p int) []Invalidator {
+	inv := make([]Invalidator, p)
+	for pe := range inv {
+		inv[pe] = peInval{l, pe}
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	return inv
+}
+
+// take returns the PEs invalidated since the last take.
+func (l *invalLog) take() []int {
+	pes := make([]int, len(l.got))
+	for i, v := range l.got {
+		pes[i] = v.pe
 	}
-	if !s.Contains(64) || s.Contains(65) {
-		t.Fatal("Contains wrong")
-	}
-	s.Remove(64)
-	if s.Contains(64) || s.Len() != 3 {
-		t.Fatal("Remove failed")
-	}
-	var got []int
-	s.ForEach(func(pe int) { got = append(got, pe) })
-	want := []int{0, 63, 129}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach = %v, want %v", got, want)
+	l.got = l.got[:0]
+	return pes
+}
+
+// members lists a reference set in ascending order, leaving out skip.
+func members(ref map[int]bool, skip int) []int {
+	var out []int
+	for pe := range ref {
+		if pe != skip {
+			out = append(out, pe)
 		}
 	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Fatal("Clear failed")
+	sort.Ints(out)
+	return out
+}
+
+// TestPESetBasics drives one directory entry's PE set (its sharers)
+// through the inline slots, the spill at the third distinct member and a
+// retake: the count follows the adds, and a write invalidates every
+// other member once, in ascending PE order, and frees the spilled vector.
+func TestPESetBasics(t *testing.T) {
+	var log invalLog
+	d := MustDirectory(130, 8, log.caches(130))
+	var e entry
+	for _, pe := range []int{129, 0, 64, 63, 64} {
+		d.addSharer(&e, pe)
+	}
+	if n := d.sharerCount(e); n != 4 {
+		t.Fatalf("sharerCount = %d, want 4", n)
+	}
+	if e.vec == 0 || e.s0 != 0 || e.s1 != 0 {
+		t.Fatalf("entry %+v did not spill at its third member", e)
+	}
+	if n := d.retake(&e, 63, 0x40); n != 3 {
+		t.Fatalf("retake invalidated %d copies, want 3", n)
+	}
+	if got, want := log.got, []inval{{0, 0x40}, {64, 0x40}, {129, 0x40}}; !slices.Equal(got, want) {
+		t.Fatalf("invalidations = %v, want %v", got, want)
+	}
+	if e != (entry{s0: 64, owner: 64}) || d.sharerCount(e) != 1 {
+		t.Fatalf("after retake entry = %+v, want writer 63 alone and modified", e)
+	}
+	if len(d.vecs.free) != 1 {
+		t.Fatalf("free list holds %d vectors after retake, want 1", len(d.vecs.free))
+	}
+	var zero entry
+	if d.sharerCount(zero) != 0 || unsafe.Sizeof(zero) > 16 {
+		t.Fatalf("zero entry: %d sharers, %d bytes; want 0 sharers in at most 16 bytes",
+			d.sharerCount(zero), unsafe.Sizeof(zero))
 	}
 }
 
+// TestPESetMatchesMap is the property form: under random adds (reads)
+// and retakes (writes) an entry's sharers behave like a map[int]bool, and
+// each retake invalidates exactly the other members, ascending.
 func TestPESetMatchesMap(t *testing.T) {
-	// Property: PESet behaves like a map[int]bool under random ops.
 	check := func(ops []uint8) bool {
-		s := NewPESet(64)
+		var log invalLog
+		d := MustDirectory(64, 8, log.caches(64))
+		var e entry
 		ref := map[int]bool{}
 		for _, op := range ops {
 			pe := int(op % 64)
 			if op&0x80 != 0 {
-				s.Add(pe)
+				d.addSharer(&e, pe)
 				ref[pe] = true
 			} else {
-				s.Remove(pe)
-				delete(ref, pe)
+				d.retake(&e, pe, 0)
+				if !slices.Equal(log.take(), members(ref, pe)) {
+					return false
+				}
+				ref = map[int]bool{pe: true}
 			}
-		}
-		if s.Len() != len(ref) {
-			return false
-		}
-		for pe := range ref {
-			if !s.Contains(pe) {
+			if d.sharerCount(e) != len(ref) {
 				return false
 			}
 		}
@@ -71,104 +129,206 @@ func TestPESetMatchesMap(t *testing.T) {
 	}
 }
 
-// TestPESetInlineAllocation pins the memory fix for large P: the old
-// representation allocated (P+63)/64 words the moment a set was created, so
-// at P=1024 every directory line cost 128 B before a single sharer existed.
-// The inline form must stay allocation-free through the common one- and
-// two-sharer states, spill exactly once at the third distinct member, and
-// return to the allocation-free form on Clear.
+// TestPESetInlineAllocation pins the entry's memory behaviour at large P:
+// the one- and two-sharer states live inline and allocate nothing, and a
+// spill reuses the vector the last retake freed instead of growing the
+// side table. The directory's own read and write paths on a touched page
+// allocate nothing either.
 func TestPESetInlineAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	const p = 1024
+	d := MustDirectory(p, 8, make([]Invalidator, p))
+	var e entry
 
 	oneOrTwo := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(7)
-		s.Add(901)
-		if s.Len() != 2 {
-			t.Fatal("wrong Len")
+		d.retake(&e, 7, 0)
+		d.addSharer(&e, 901)
+		if d.sharerCount(e) != 2 {
+			t.Fatal("wrong sharer count")
 		}
 	})
 	if oneOrTwo != 0 {
-		t.Fatalf("one/two-sharer path allocates %.0f objects per set, want 0", oneOrTwo)
+		t.Fatalf("one/two-sharer path allocates %.0f objects per entry, want 0", oneOrTwo)
 	}
 
+	// The first spill grows the side table by one vector; the retake
+	// puts it on the free list.
+	d.addSharer(&e, 333)
+	d.retake(&e, 4, 0)
 	spilled := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(7)
-		s.Add(901)
-		s.Add(333) // third distinct member: spill to the bit vector
-		s.Add(12)
-		if s.Len() != 4 {
-			t.Fatal("wrong Len after spill")
+		for _, pe := range []int{7, 901, 333, 12} {
+			d.addSharer(&e, pe)
 		}
+		if d.sharerCount(e) != 5 {
+			t.Fatal("wrong sharer count after spill")
+		}
+		d.retake(&e, 4, 0)
 	})
-	if spilled != 1 {
-		t.Fatalf("spilled path allocates %.0f objects per set, want exactly 1 (the bit vector)", spilled)
+	if spilled != 0 {
+		t.Fatalf("spill after a retake allocates %.0f objects, want 0 (free-list reuse)", spilled)
+	}
+	if vecs := len(d.vecs.words) / d.vecs.stride; vecs != 1 {
+		t.Fatalf("side table holds %d vectors, want 1", vecs)
 	}
 
-	// Clear returns to inline: a retaken line allocates nothing again.
-	retaken := testing.AllocsPerRun(100, func() {
-		s := NewPESet(p)
-		s.Add(1)
-		s.Add(2)
-		s.Add(3)
-		s.Clear()
-		s.Add(4)
-		if s.Len() != 1 {
-			t.Fatal("wrong Len after clear")
-		}
+	d.ReadLine(3, 100)
+	paths := testing.AllocsPerRun(100, func() {
+		d.ReadLine(5, 100)
+		d.WriteLine(6, 101)
+		d.ReadLine(7, 101)
 	})
-	if retaken != 1 {
-		t.Fatalf("clear+retake allocates %.0f objects per set, want 1 (only the pre-clear spill)", retaken)
+	if paths != 0 {
+		t.Fatalf("ReadLine/WriteLine on a touched page allocate %.0f objects, want 0", paths)
 	}
 }
 
-// TestPESetSpilledMatchesMap drives the set past the inline capacity so the
-// map-equivalence property also covers the spilled representation and the
-// inline->spill->Clear->inline round trip.
+// TestPESetSpilledMatchesMap drives one entry far past its inline
+// capacity at an odd P (the last word partial) so the map-equivalence
+// property also covers the spilled form and the inline -> spill -> retake
+// -> inline round trip.
 func TestPESetSpilledMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const p = 257 // odd, >4 words, exercises the last partial word
-	s := NewPESet(p)
+	const p = 257
+	var log invalLog
+	d := MustDirectory(p, 8, log.caches(p))
+	var e entry
 	ref := map[int]bool{}
 	for i := 0; i < 20000; i++ {
 		pe := rng.Intn(p)
-		switch rng.Intn(8) {
-		case 0:
-			s.Remove(pe)
-			delete(ref, pe)
-		case 1:
-			if rng.Intn(50) == 0 {
-				s.Clear()
-				ref = map[int]bool{}
+		if rng.Intn(60) == 0 {
+			d.retake(&e, pe, 0)
+			if got, want := log.take(), members(ref, pe); !slices.Equal(got, want) {
+				t.Fatalf("step %d: retake by %d invalidated %v, want %v", i, pe, got, want)
 			}
-		default:
-			s.Add(pe)
+			ref = map[int]bool{pe: true}
+		} else {
+			d.addSharer(&e, pe)
 			ref[pe] = true
 		}
-		if s.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, want %d", i, s.Len(), len(ref))
+		if d.sharerCount(e) != len(ref) {
+			t.Fatalf("step %d: sharerCount = %d, want %d", i, d.sharerCount(e), len(ref))
 		}
 	}
-	prev := -1
-	s.ForEach(func(pe int) {
-		if !ref[pe] {
-			t.Fatalf("ForEach yielded %d, not in reference", pe)
+	d.retake(&e, p-1, 0)
+	if got, want := log.take(), members(ref, p-1); !slices.Equal(got, want) {
+		t.Fatalf("final retake invalidated %v, want %v", got, want)
+	}
+}
+
+// refDirectory is the naive model TestDirectoryMatchesReference holds the
+// directory to: a map of sharer sets, a map of modified owners, and every
+// invalidation each PE receives, in order.
+type refDirectory struct {
+	sharers map[uint64]map[int]bool
+	owner   map[uint64]int
+	stats   Stats
+	invals  [][]uint64
+	spills  int // times a line's sharer set reached three members
+}
+
+func (r *refDirectory) read(pe int, line uint64) {
+	r.stats.ReadRequests++
+	if o, ok := r.owner[line]; ok && o != pe {
+		delete(r.owner, line)
+		r.stats.Downgrades++
+	}
+	set := r.sharers[line]
+	if set == nil {
+		set = map[int]bool{}
+		r.sharers[line] = set
+	}
+	if !set[pe] && len(set) == 2 {
+		r.spills++
+	}
+	set[pe] = true
+}
+
+func (r *refDirectory) write(pe int, line uint64) {
+	r.stats.WriteRequests++
+	others := members(r.sharers[line], pe)
+	for _, o := range others {
+		r.stats.Invalidations++
+		r.invals[o] = append(r.invals[o], line<<3)
+	}
+	if len(others) > 0 {
+		r.stats.InvalidatingWrites++
+	}
+	r.sharers[line] = map[int]bool{pe: true}
+	r.owner[line] = pe
+}
+
+// TestDirectoryMatchesReference holds the paged directory to the naive
+// map-of-sets model on random reads and writes at P = 4, 64 and 1024, so
+// the inline slots, the spill path and the free list all run, over lines
+// below the dense bound, around it and far above it (the far-line map).
+// Stats, Sharers, IsDirty and the exact (pe, addr) invalidation sequence
+// each PE receives must all agree.
+func TestDirectoryMatchesReference(t *testing.T) {
+	var lines []uint64
+	for i := uint64(0); i < 160; i++ {
+		lines = append(lines, i, 3*linetab.PageLines+i)
+	}
+	for i := uint64(0); i < 8; i++ {
+		lines = append(lines, linetab.Dense-4+i, 1<<40+i, (1<<61-1)-i)
+	}
+	for _, p := range []int{4, 64, 1024} {
+		rng := rand.New(rand.NewSource(int64(p)))
+		got := make([][]uint64, p)
+		inv := make([]Invalidator, p)
+		for pe := range inv {
+			inv[pe] = addrLog{got, pe}
 		}
-		if pe <= prev {
-			t.Fatalf("ForEach not ascending: %d after %d", pe, prev)
+		d := MustDirectory(p, 8, inv)
+		ref := &refDirectory{sharers: map[uint64]map[int]bool{}, owner: map[uint64]int{}, invals: make([][]uint64, p)}
+		for i := 0; i < 60000; i++ {
+			pe := rng.Intn(p)
+			line := lines[rng.Intn(len(lines))]
+			switch rng.Intn(8) {
+			case 0:
+				d.Write(pe, line<<3)
+				ref.write(pe, line)
+			case 1:
+				d.WriteLine(pe, line)
+				ref.write(pe, line)
+			case 2:
+				d.Read(pe, line<<3)
+				ref.read(pe, line)
+			default:
+				d.ReadLine(pe, line)
+				ref.read(pe, line)
+			}
 		}
-		prev = pe
-	})
-	for pe := 0; pe < p; pe++ {
-		if s.Contains(pe) != ref[pe] {
-			t.Fatalf("Contains(%d) = %v, want %v", pe, s.Contains(pe), ref[pe])
+		if d.Stats() != ref.stats {
+			t.Fatalf("P=%d: stats = %+v, want %+v", p, d.Stats(), ref.stats)
+		}
+		for _, line := range lines {
+			_, dirty := ref.owner[line]
+			if d.Sharers(line<<3) != len(ref.sharers[line]) || d.IsDirty(line<<3) != dirty {
+				t.Fatalf("P=%d line %#x: sharers %d dirty %v, want %d %v", p, line,
+					d.Sharers(line<<3), d.IsDirty(line<<3), len(ref.sharers[line]), dirty)
+			}
+		}
+		for pe := range got {
+			if !slices.Equal(got[pe], ref.invals[pe]) {
+				t.Fatalf("P=%d: PE %d received %d invalidations, want %d (sequences differ)",
+					p, pe, len(got[pe]), len(ref.invals[pe]))
+			}
+		}
+		if vecs := len(d.vecs.words) / d.vecs.stride; ref.spills == 0 || vecs >= ref.spills {
+			t.Fatalf("P=%d: %d spills used %d vectors; want spills reusing freed vectors", p, ref.spills, vecs)
 		}
 	}
 }
+
+// addrLog appends the addresses one PE is sent to that PE's list.
+type addrLog struct {
+	got [][]uint64
+	pe  int
+}
+
+func (a addrLog) Invalidate(addr uint64) { a.got[a.pe] = append(a.got[a.pe], addr) }
 
 func TestDirectoryInvalidatesOtherCopies(t *testing.T) {
 	c0 := cache.MustLRU(16, 8)

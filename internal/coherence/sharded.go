@@ -19,10 +19,11 @@ var fpShardApply = fault.New("coherence.shard.apply")
 // ShardedDirectory partitions a full-map directory into W address-region
 // shards. Every cache line is owned by exactly one shard — ShardOf is a
 // pure line-hash — and each shard is a complete, unmodified Directory over
-// its region, with its own line map and statistics. Shards share no state,
-// so W workers can apply disjoint regions' transactions concurrently; the
-// protocol semantics per line are exactly the serial Directory's because
-// each line's transactions all land on one shard in stream order.
+// its region, with its own line table, spilled-sharer table and
+// statistics. Shards share no state, so W workers can apply disjoint
+// regions' transactions concurrently; the protocol semantics per line are
+// exactly the serial Directory's because each line's transactions all
+// land on one shard in stream order.
 //
 // Thread safety follows the shard partition: concurrent ReadLine/WriteLine
 // calls are safe if and only if they target different shards (the sharded

@@ -256,9 +256,10 @@ func buildPEs(cfg Config, measuring bool) (units, error) {
 
 // access touches one line in pe's probes and its cache or profiler, and
 // reports whether the cache or profiler (certainly) missed; both engines
-// classify misses through it. Profiled PEs report misses only in the
-// infinite-cache sense (cold or coherence), since per-size misses are
-// resolved after the fact. A PE with no cache or profiler never misses.
+// classify misses through it, counting them only while measuring.
+// Profiled PEs report misses only in the infinite-cache sense (cold or
+// coherence), since per-size misses are resolved after the fact. A PE
+// with no cache or profiler never misses.
 func (u *units) access(pe int, addr uint64, read bool) bool {
 	if u.probes != nil {
 		for _, c := range u.probes[pe] {
@@ -272,16 +273,7 @@ func (u *units) access(pe int, addr uint64, read bool) bool {
 		return false
 	}
 	p := u.profilers[pe]
-	if p == nil {
-		return false
-	}
-	coldR, coldW := p.ColdMisses()
-	cohR, cohW := p.CoherenceMisses()
-	before := coldR + coldW + cohR + cohW
-	p.Access(addr, 1, read)
-	coldR, coldW = p.ColdMisses()
-	cohR, cohW = p.CoherenceMisses()
-	return coldR+coldW+cohR+cohW > before
+	return p != nil && p.AccessLine(addr, read)
 }
 
 // setMeasuring applies a measurement flip to every unit: profilers start
