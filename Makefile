@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_PR17.json
+BENCH_OUT ?= BENCH_PR18.json
 
 .PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
 
@@ -103,10 +103,14 @@ race:
 	$(GO) test -race ./...
 
 # Longer-running decoder fuzz (30s per target), as used in CI's
-# extended job: the trace replayer and the v1 query decoder.
+# extended job: the trace replayer, the v1 query decoder, the
+# follower's peer-response gate (digest and schema) and the owner's
+# parse of the hold a peer names.
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequestV1 -fuzztime=30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz=FuzzPeerResponse -fuzztime=30s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz=FuzzHoldHeader -fuzztime=30s ./internal/serve/
 
 # Delivery, sweep-engine, and serving-tier benchmarks (ring lookup,
 # warm peer-fill, wsload cached-RPS and overload shedding); results are

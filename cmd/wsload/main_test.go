@@ -141,7 +141,7 @@ func TestLoadOverloadSheds(t *testing.T) {
 			return r, nil
 		},
 	}
-	// A short WaitBudget keeps follower fills from polling the
+	// A short WaitBudget keeps follower fills from waiting on the
 	// saturated owner longer than clients wait; a saturated cluster
 	// must shed, not queue.
 	nodes, _ := bootCluster(t, 2, []core.Experiment{slow}, store.Config{Slots: 1},

@@ -73,8 +73,8 @@ func run(args []string) error {
 	dataBytes := fs.Uint64("data-bytes", 1<<30, "sweep: total problem size for the grain (perf-per-dollar) advice")
 	nodeID := fs.String("node-id", "", "serve: this node's id in the -peers map (empty = standalone)")
 	peersFlag := fs.String("peers", "", "serve: full cluster membership as id=url,id=url,... (identical on every node, self included)")
-	peerFetch := fs.Duration("peer-fetch-budget", 0, "serve: per-attempt peer-fill budget (0 = 2s; also capped at 10% of the request deadline)")
-	peerWait := fs.Duration("peer-wait-budget", 0, "serve: total budget polling an owner that is still computing (0 = 15s)")
+	peerFetch := fs.Duration("peer-fetch-budget", 0, "serve: per-attempt peer-fill budget, the owner's hold on a cold key included (0 = 2s; also capped at 10% of the request deadline)")
+	peerWait := fs.Duration("peer-wait-budget", 0, "serve: total budget waiting on an owner that is still computing, held attempts and retries included (0 = 15s)")
 	peerProbe := fs.Duration("peer-probe", 0, "serve: cooldown before a degraded peer is probed again (0 = 15s)")
 	crawl := fs.String("crawl", "", "serve: experiment id for the background precompute crawler over the -axis lattice (requires -node-id)")
 	crawlInterval := fs.Duration("crawl-interval", 0, "serve: pacing between crawler steps (0 = 1s)")

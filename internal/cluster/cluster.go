@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -35,8 +36,10 @@ var (
 
 // InternalReportPath is the peer-fill endpoint prefix on every node:
 // GET {prefix}{key}?id=<experiment>&opt.<axis>=... answers the frozen
-// ReportV1 rendering (200), "still computing" (202 + Retry-After), or
-// load-shedding (429).
+// ReportV1 rendering (200) — at once when the owner holds the key, or
+// as soon as its compute lands inside the hold the request names in
+// WaitHeader — or "still computing" (202 + Retry-After) when the hold
+// runs out first, or load-shedding (429).
 const InternalReportPath = "/v1/internal/reports/"
 
 // DigestHeader carries the hex SHA-256 of the response body on
@@ -44,12 +47,19 @@ const InternalReportPath = "/v1/internal/reports/"
 // before the cheaper-but-weaker schema check runs.
 const DigestHeader = "X-Wsstudy-Sha256"
 
+// WaitHeader carries, on every internal report request, how many
+// milliseconds the follower lets the owner hold a cold key before it
+// answers 202. It is always below the attempt's own budget, so the
+// owner's 202 arrives before the attempt times out.
+const WaitHeader = "X-Wsstudy-Wait-Ms"
+
 // Sentinel outcomes of one fetch attempt. errComputing is the only
-// retryable one — the owner is alive and warming the key, so the
-// follower polls; everything else either sheds to local compute
-// immediately (errPeerBusy: the owner is alive but saturated) or
-// degrades the peer first (errPeerDown wraps transport errors, 5xx,
-// and corrupt responses).
+// retryable one — the owner is alive and computing the key but did not
+// finish inside the attempt's hold, so the follower asks again;
+// everything else either sheds to local compute immediately
+// (errPeerBusy: the owner is alive but saturated) or degrades the peer
+// first (errPeerDown wraps transport errors, 5xx, and corrupt
+// responses).
 var (
 	errComputing = errors.New("cluster: owner still computing")
 	errPeerBusy  = errors.New("cluster: owner shedding load")
@@ -75,15 +85,18 @@ type Config struct {
 	// Client performs peer fetches (nil = a client with a pooled
 	// transport; per-attempt deadlines ride the request context).
 	Client *http.Client
-	// FetchBudget caps one fetch attempt's wall time. A fill also never
-	// spends more than 10% of the caller's remaining deadline on a
-	// single attempt, so a slow peer costs a bounded slice of the
-	// request budget before local compute takes over (0 = 2s).
+	// FetchBudget caps one fetch attempt's wall time, the owner's hold
+	// included (an attempt names three quarters of its budget as the
+	// hold). A fill also never spends more than 10% of the caller's
+	// remaining deadline on a single attempt, so a slow peer costs a
+	// bounded slice of the request budget before local compute takes
+	// over (0 = 2s).
 	FetchBudget time.Duration
-	// WaitBudget caps the total time a follower polls an owner that
-	// answers "still computing" before giving up and computing locally.
-	// A caller deadline tightens it further — polling never eats the
-	// time the local fallback would need (0 = 15s).
+	// WaitBudget caps the total time a follower waits on an owner that
+	// is still computing — its held attempts and the backoff between
+	// them — before giving up and computing locally. A caller deadline
+	// tightens it further — waiting never eats the time the local
+	// fallback would need (0 = 15s).
 	WaitBudget time.Duration
 	// ProbeInterval is how long a degraded peer is bypassed before the
 	// next fill probes it again (0 = 15s).
@@ -197,7 +210,7 @@ func (c *Cluster) Owner(key store.Key) (id string, self bool) {
 	return id, id == c.cfg.Self
 }
 
-// Close stops the crawler and any in-flight fills' polling loops.
+// Close stops the crawler and any in-flight fills' retry loops.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	c.closed = true
@@ -206,13 +219,14 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// Fill is the store.FillFunc: called by a flight leader that missed
+// Fill is the store.FillFunc: called by a store flight that missed
 // memory and disk, it fetches the finished rendering from the key's
 // ring owner. A false return means "compute locally" — the fill path
 // is an optimization and every failure mode (self-owned key, degraded
 // or dead peer, owner shedding, wait budget exhausted, corrupt bytes)
-// falls back to it. ctx carries the request deadline; polling leaves
-// at least half of the remaining budget for the local fallback.
+// falls back to it. ctx carries the request deadline; waiting on the
+// owner leaves at least half of the remaining budget for the local
+// fallback.
 func (c *Cluster) Fill(ctx context.Context, key store.Key, e core.Experiment, opt core.Options) (*store.Result, bool) {
 	owner, self := c.Owner(key)
 	if self {
@@ -239,12 +253,13 @@ func (c *Cluster) Fill(ctx context.Context, key store.Key, e core.Experiment, op
 	return nil, false
 }
 
-// fetch runs the owner-poll protocol: attempts are retried only while
-// the owner answers "still computing" (202), under core.RetryPolicy's
-// deadline budgeting, inside a window that never starves the local
-// fallback.
+// fetch runs the held-fill protocol: each attempt lets the owner hold
+// a cold key until its compute lands (see fetchOnce), and attempts are
+// retried only while the owner answers "still computing" (202) — a
+// compute that outlasts one hold — under core.RetryPolicy's deadline
+// budgeting, inside a window that never starves the local fallback.
 func (c *Cluster) fetch(ctx context.Context, p *peer, key store.Key, e core.Experiment, opt core.Options) (*store.Result, error) {
-	// The poll window: WaitBudget, tightened to half of the caller's
+	// The wait window: WaitBudget, tightened to half of the caller's
 	// remaining deadline so local compute still fits in the other half.
 	window := c.cfg.WaitBudget
 	if dl, ok := ctx.Deadline(); ok {
@@ -311,6 +326,12 @@ func (c *Cluster) fetchOnce(ctx context.Context, p *peer, key store.Key, e core.
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errPeerDown, err)
 	}
+	// The hold is three quarters of what is left of the attempt (the
+	// budget, or less when the caller's deadline comes first): the
+	// remaining quarter carries the owner's 202 back before the attempt
+	// times out, because a timed-out attempt degrades a healthy owner.
+	dl, _ := attemptCtx.Deadline()
+	req.Header.Set(WaitHeader, strconv.FormatInt((time.Until(dl)*3/4).Milliseconds(), 10))
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errPeerDown, err)
@@ -349,15 +370,15 @@ func (c *Cluster) fetchOnce(ctx context.Context, p *peer, key store.Key, e core.
 // bytes, plus a transport-integrity digest: the result key addresses
 // the request configuration, not the rendering, so a flipped byte in
 // otherwise well-formed JSON would pass the schema check — the digest
-// catches it. Either failure counts cluster.peer.corrupt and degrades
-// the peer; nothing invalid is ever returned (and so never cached).
+// catches it. Every owner sends the digest with a 200, so a missing one
+// is as untrustworthy as a wrong one. Any failure counts
+// cluster.peer.corrupt and degrades the peer; nothing invalid is ever
+// returned (and so never cached).
 func (c *Cluster) validate(p *peer, key store.Key, id, digest string, raw []byte) (*store.Result, error) {
-	if digest != "" {
-		sum := sha256.Sum256(raw)
-		if !strings.EqualFold(digest, hex.EncodeToString(sum[:])) {
-			c.corrupt.Inc()
-			return nil, fmt.Errorf("%w: %s: body digest mismatch", errPeerDown, p.id)
-		}
+	sum := sha256.Sum256(raw)
+	if digest == "" || !strings.EqualFold(digest, hex.EncodeToString(sum[:])) {
+		c.corrupt.Inc()
+		return nil, fmt.Errorf("%w: %s: body digest missing or mismatched", errPeerDown, p.id)
 	}
 	res, err := store.DecodeResult(key, id, raw)
 	if err != nil {

@@ -1,12 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,7 +53,7 @@ type fillFixture struct {
 // newFillFixture builds the fixture: finds options whose key lands on
 // the remote member, pre-computes the canonical rendering with a
 // scratch store, and wires a Cluster at "a" pointing at the handler.
-func newFillFixture(t *testing.T, cfg Config) *fillFixture {
+func newFillFixture(t testing.TB, cfg Config) *fillFixture {
 	t.Helper()
 	f := &fillFixture{exp: testExp(), owner: &atomic.Value{}}
 	f.owner.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -186,6 +192,93 @@ func TestFillPollsComputingOwner(t *testing.T) {
 	}
 	if calls.Load() < 3 {
 		t.Fatalf("owner saw %d calls, want >= 3 (two 202s then a 200)", calls.Load())
+	}
+}
+
+// TestFillNamesHold: every fetch attempt names a hold, and the hold is
+// below the attempt's budget — FetchBudget, or with a caller deadline
+// the 10% slice of it — so the owner's 202 always beats the attempt's
+// timeout.
+func TestFillNamesHold(t *testing.T) {
+	const budget = 400 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration // 0: no caller deadline
+		below    time.Duration
+	}{
+		{"no caller deadline", 0, budget},
+		{"caller deadline", 2 * time.Second, 2 * time.Second / 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFillFixture(t, Config{FetchBudget: budget})
+			var mu sync.Mutex
+			var holds []string
+			f.owner.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				holds = append(holds, r.Header.Get(WaitHeader))
+				n := len(holds)
+				mu.Unlock()
+				if n < 3 {
+					status(http.StatusAccepted, "1")(w, r)
+					return
+				}
+				serveBody(f.body, f.body)(w, r)
+			}))
+			ctx := context.Background()
+			if tc.deadline > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.deadline)
+				defer cancel()
+			}
+			if _, ok := f.cl.Fill(ctx, f.key, f.exp, f.opt); !ok {
+				t.Fatal("Fill failed against an owner that answers on the third attempt")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(holds) != 3 {
+				t.Fatalf("owner saw %d attempts, want 3", len(holds))
+			}
+			for i, h := range holds {
+				ms, err := strconv.ParseInt(h, 10, 64)
+				if err != nil || ms <= 0 || time.Duration(ms)*time.Millisecond >= tc.below {
+					t.Errorf("attempt %d named hold %q, want a positive count of ms below %v", i+1, h, tc.below)
+				}
+			}
+		})
+	}
+}
+
+// TestFillHeldOwnerNeverDegrades: an owner that holds an attempt for
+// exactly the time the follower names and then answers 202 is alive and
+// computing, not a dead peer — its 202 arrives inside the attempt's
+// budget, so the follower asks again instead of timing out and
+// degrading it. Three such attempts, then the owner answers.
+func TestFillHeldOwnerNeverDegrades(t *testing.T) {
+	f := newFillFixture(t, Config{FetchBudget: 400 * time.Millisecond})
+	var calls atomic.Int64
+	f.owner.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 3 {
+			serveBody(f.body, f.body)(w, r)
+			return
+		}
+		ms, err := strconv.ParseInt(r.Header.Get(WaitHeader), 10, 64)
+		if err != nil || ms <= 0 {
+			t.Errorf("attempt named hold %q, want a positive count of ms", r.Header.Get(WaitHeader))
+		}
+		time.Sleep(time.Duration(ms) * time.Millisecond)
+		status(http.StatusAccepted, "1")(w, r)
+	}))
+	if _, ok := f.cl.Fill(context.Background(), f.key, f.exp, f.opt); !ok {
+		t.Fatalf("Fill gave up after %d attempts against an owner that holds, then answers", calls.Load())
+	}
+	if n := calls.Load(); n != 4 {
+		t.Fatalf("owner saw %d attempts, want 3 held 202s and a 200", n)
+	}
+	if got := f.counter(obs.ClusterPeerDegraded); got != 0 {
+		t.Fatalf("a holding owner was degraded %d times", got)
+	}
+	if st := f.cl.Health(); st.Degraded() {
+		t.Fatalf("a holding owner was marked degraded: %+v", st)
 	}
 }
 
@@ -339,6 +432,11 @@ func TestFillRejectsCorruptBody(t *testing.T) {
 			bad := []byte(`{"schema_version": 9999}`)
 			return serveBody(bad, bad) // digest matches, schema gate must catch it
 		}},
+		{"missing digest", func(f *fillFixture) http.HandlerFunc {
+			return func(w http.ResponseWriter, r *http.Request) {
+				_, _ = w.Write(f.body) // valid bytes, but nothing vouches for them
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFillFixture(t, Config{})
@@ -401,6 +499,64 @@ func TestFillRequestShape(t *testing.T) {
 			t.Fatalf("fetch opt.%s = %q, want %q", axis, got, want)
 		}
 	}
+}
+
+// FuzzPeerResponse throws arbitrary digest headers and bodies at
+// validate, the gate every peer-filled byte crosses before the store
+// serves and caches it. It must never panic, and whatever it accepts
+// must be vouched for by a non-empty digest of exactly those bytes,
+// pass the store's schema gate, and carry the body byte for byte.
+func FuzzPeerResponse(f *testing.F) {
+	fx := newFillFixture(f, Config{})
+	p := fx.cl.peers["b"]
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	version := func(v int) []byte {
+		cur := fmt.Sprintf(`"schema_version": %d`, core.ReportSchemaVersion)
+		out := bytes.Replace(fx.body, []byte(cur), []byte(fmt.Sprintf(`"schema_version": %d`, v)), 1)
+		if bytes.Equal(out, fx.body) {
+			f.Fatalf("rendering has no %s to replace", cur)
+		}
+		return out
+	}
+	flipped := bytes.Clone(fx.body)
+	flipped[len(flipped)/2] ^= 0x40
+	truncated := fx.body[:len(fx.body)/2]
+	v0, v99 := version(0), version(99)
+	if _, err := fx.cl.validate(p, fx.key, fx.exp.ID, digest(fx.body), fx.body); err != nil {
+		f.Fatalf("valid rendering rejected: %v", err)
+	}
+	if _, err := fx.cl.validate(p, fx.key, fx.exp.ID, "", fx.body); err == nil {
+		f.Fatal("a rendering without a digest was accepted")
+	}
+	f.Add(digest(fx.body), fx.body)
+	f.Add(strings.ToUpper(digest(fx.body)), fx.body)
+	f.Add(digest(fx.body), flipped)
+	f.Add(digest(truncated), truncated)
+	f.Add(digest(fx.body), truncated)
+	f.Add(digest(v0), v0)
+	f.Add(digest(v99), v99)
+	f.Add("", fx.body)
+	f.Fuzz(func(t *testing.T, dg string, raw []byte) {
+		res, err := fx.cl.validate(p, fx.key, fx.exp.ID, dg, raw)
+		if err != nil {
+			if res != nil || !errors.Is(err, errPeerDown) {
+				t.Fatalf("rejection returned (%v, %v), want (nil, errPeerDown)", res, err)
+			}
+			return
+		}
+		if dg == "" || !strings.EqualFold(dg, digest(raw)) {
+			t.Fatalf("accepted %d bytes under digest %q, which does not vouch for them", len(raw), dg)
+		}
+		if _, err := store.DecodeResult(fx.key, fx.exp.ID, res.JSON); err != nil {
+			t.Fatalf("accepted bytes fail the store's schema gate: %v", err)
+		}
+		if !bytes.Equal(res.JSON, raw) || res.Key != fx.key || res.ID != fx.exp.ID {
+			t.Fatal("accepted result does not carry the body, key and id it was given")
+		}
+	})
 }
 
 func TestClusterConfigValidation(t *testing.T) {

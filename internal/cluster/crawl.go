@@ -13,7 +13,7 @@ import (
 // this node owns on the ring are warmed — across the cluster the
 // crawlers partition the lattice instead of each computing all of it —
 // and a step runs only when the local store has a free compute slot
-// and no queued leaders, so crawling never competes with live traffic
+// and no queued flights, so crawling never competes with live traffic
 // for capacity.
 type CrawlSpec struct {
 	// Experiment is the id evaluated at every cell. Required.

@@ -139,10 +139,16 @@ const (
 	// attempts, successful or not (the price of asking before computing).
 	ClusterPeerFetchWall = "cluster.peer.fetch.wall"
 	// ClusterInternalRequests counts /v1/internal/reports/{key} requests
-	// served to peers; ClusterInternalComputing the subset answered 202
-	// because the owner was still computing the key.
+	// served to peers; ClusterInternalComputing the subset answered 202:
+	// the hold expired, none was requested, the hold cap was full, or the
+	// owner's store was busy or the compute failed.
 	ClusterInternalRequests  = "cluster.internal.requests"
 	ClusterInternalComputing = "cluster.internal.computing"
+	// ClusterInternalHoldWall is the wall-time histogram of held internal
+	// requests — cold keys the owner waited on for a peer — whether they
+	// ended in 200 or 202. Beside cluster.peer.fetch.wall on the follower
+	// it shows where a cold key's time went.
+	ClusterInternalHoldWall = "cluster.internal.hold.wall"
 	// ClusterCrawlSteps counts precompute-crawler steps taken (a step
 	// considers one owned lattice cell); ClusterCrawlWarmed the steps
 	// that actually computed-or-revived a cold cell into the local store;

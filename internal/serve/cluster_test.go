@@ -125,9 +125,9 @@ func slowCountingExp(id string, execs *atomic.Int64, d time.Duration) core.Exper
 // TestClusterColdKeySingleflight is the cross-node singleflight drill:
 // 32 concurrent clients spread over a 3-node cluster all ask for one
 // cold key. The ring sends every node to the same owner, the owner's
-// store singleflight admits one computation, and the followers' fills
-// poll until it lands — the storm costs exactly one kernel run
-// cluster-wide, and every client gets an identical rendering.
+// store singleflight admits one computation, and the owner holds the
+// followers' fills until it lands — the storm costs exactly one kernel
+// run cluster-wide, and every client gets an identical rendering.
 func TestClusterColdKeySingleflight(t *testing.T) {
 	var execs atomic.Int64
 	reg := []core.Experiment{slowCountingExp("cold", &execs, 300*time.Millisecond)}
@@ -186,6 +186,49 @@ func TestClusterColdKeySingleflight(t *testing.T) {
 	}
 	if peerHits < 2 {
 		t.Errorf("followers recorded %d peer-fill hits, want >= 2 (one per follower)", peerHits)
+	}
+}
+
+// TestClusterColdFillHeld: a cold key asked of a follower only costs
+// the owner one internal request. The owner holds it until the 20 ms
+// compute lands and answers 200, instead of answering 202 and being
+// asked again after the follower's backoff.
+func TestClusterColdFillHeld(t *testing.T) {
+	var execs atomic.Int64
+	reg := []core.Experiment{slowCountingExp("held", &execs, 20*time.Millisecond)}
+	tc := startTestCluster(t, 2, reg, nil)
+	opt := core.Options{Scale: core.ScaleQuick, CacheBytes: 4096}
+	owner := tc.ownerOf("held", opt)
+	follower := 1 - owner
+
+	resp, err := http.Get(tc.reportURL(follower, "held", opt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower answered %d, want 200", resp.StatusCode)
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("cold key executed %d times, want 1", got)
+	}
+	om := tc.recs[owner].Snapshot()
+	if got := om.Counter(obs.ClusterInternalRequests); got != 1 {
+		t.Errorf("owner served %d internal requests, want 1 (one held fill)", got)
+	}
+	if got := om.Counter(obs.ClusterInternalComputing); got != 0 {
+		t.Errorf("owner answered 202 %d times, want 0", got)
+	}
+	if got := om.Durations[obs.ClusterInternalHoldWall].Count; got != 1 {
+		t.Errorf("owner recorded %d held requests, want 1", got)
+	}
+	fm := tc.recs[follower].Snapshot()
+	if got := fm.Counter(obs.ClusterPeerHits); got != 1 {
+		t.Errorf("follower peer hits = %d, want 1", got)
+	}
+	if n := fm.Durations[obs.StoreComputeWall].Count; n != 0 {
+		t.Errorf("follower ran %d local computes, want 0", n)
 	}
 }
 
@@ -387,11 +430,38 @@ func internalURL(base string, key store.Key, id string, opt core.Options) string
 }
 
 func TestInternalReportEndpoint(t *testing.T) {
-	var execs atomic.Int64
+	var execs, slowExecs, expiryExecs, capExecs atomic.Int64
+	expiryGate, capGate := make(chan struct{}), make(chan struct{})
+	reg := append(testRegistry(&execs, nil, nil),
+		slowCountingExp("slow", &slowExecs, 20*time.Millisecond),
+		gatedExp("expiry", &expiryExecs, expiryGate),
+		gatedExp("capped", &capExecs, capGate))
 	rec := obs.New()
-	_, ts := newTestServer(t, store.Config{Slots: 2}, testRegistry(&execs, nil, nil), rec)
+	srv, ts := newTestServer(t, store.Config{Slots: 2}, reg, rec)
+	// A subtest that fails before opening its gate still opens it on the
+	// way out (deferred), so later subtests and the store's drain never
+	// wait on a parked flight.
+	openExpiry := sync.OnceFunc(func() { close(expiryGate) })
+	openCap := sync.OnceFunc(func() { close(capGate) })
 	opt := core.Options{Scale: core.ScaleQuick}
 	key := store.KeyFor("inst", opt)
+
+	// held asks for id's cold key, naming a hold of holdMs milliseconds.
+	held := func(id, holdMs string) (*http.Response, []byte, error) {
+		req, err := http.NewRequest(http.MethodGet, internalURL(ts.URL, store.KeyFor(id, opt), id, opt), nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		req.Header.Set(cluster.WaitHeader, holdMs)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		return resp, raw, err
+	}
+	holdCount := func() uint64 { return rec.Snapshot().Durations[obs.ClusterInternalHoldWall].Count }
 
 	t.Run("malformed key", func(t *testing.T) {
 		resp, err := http.Get(ts.URL + cluster.InternalReportPath + "zzzz?id=inst")
@@ -493,6 +563,195 @@ func TestInternalReportEndpoint(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotModified {
 			t.Fatalf("status %d, want 304", resp.StatusCode)
+		}
+	})
+	t.Run("hold answers 200 in one request", func(t *testing.T) {
+		computing, holds := rec.Snapshot().Counter(obs.ClusterInternalComputing), holdCount()
+		resp, raw, err := held("slow", "2000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("held cold key answered %d, want 200", resp.StatusCode)
+		}
+		slowKey := store.KeyFor("slow", opt)
+		sum := sha256.Sum256(raw)
+		if got := resp.Header.Get(cluster.DigestHeader); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("digest header %q does not match body", got)
+		}
+		if got, want := resp.Header.Get("Etag"), etagFor(slowKey, core.FormatJSON); got != want {
+			t.Fatalf("Etag = %q, want %q", got, want)
+		}
+		if got := resp.Header.Get("X-Wsstudy-Key"); got != slowKey.String() {
+			t.Fatalf("X-Wsstudy-Key = %q, want %s", got, slowKey)
+		}
+		if _, err := store.DecodeResult(slowKey, "slow", raw); err != nil {
+			t.Fatalf("held body is not a servable rendering: %v", err)
+		}
+		if got := slowExecs.Load(); got != 1 {
+			t.Fatalf("held key executed %d times, want 1", got)
+		}
+		if got := rec.Snapshot().Counter(obs.ClusterInternalComputing) - computing; got != 0 {
+			t.Fatalf("cluster.internal.computing += %d, want 0", got)
+		}
+		if got := holdCount() - holds; got != 1 {
+			t.Fatalf("cluster.internal.hold.wall count += %d, want 1", got)
+		}
+	})
+	t.Run("hold expiry answers 202 and computes once", func(t *testing.T) {
+		defer openExpiry()
+		start := time.Now()
+		resp, raw, err := held("expiry", "50")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wall := time.Since(start); resp.StatusCode != http.StatusAccepted || wall < 50*time.Millisecond {
+			t.Fatalf("expired hold answered %d after %v, want 202 after the 50ms hold", resp.StatusCode, wall)
+		}
+		var doc struct {
+			Status string `json:"status"`
+		}
+		if resp.Header.Get("Retry-After") == "" || json.Unmarshal(raw, &doc) != nil || doc.Status != "computing" {
+			t.Fatalf("expired hold: Retry-After %q, body %s", resp.Header.Get("Retry-After"), raw)
+		}
+		openExpiry()
+		resp, _, err = held("expiry", "2000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("after the compute landed: %d, want 200", resp.StatusCode)
+		}
+		if got := expiryExecs.Load(); got != 1 {
+			t.Fatalf("key executed %d times across the expired hold and the retry, want 1", got)
+		}
+	})
+	t.Run("full hold cap answers 202 at once", func(t *testing.T) {
+		defer openCap()
+		limit := cap(srv.holds)
+		if limit != holdsPerSlot*2 {
+			t.Fatalf("hold cap = %d, want %d per compute slot", limit, holdsPerSlot)
+		}
+		coalesced := rec.Counter(obs.StoreCoalesced).Value()
+		codes := make(chan int, limit)
+		for i := 0; i < limit; i++ {
+			go func() {
+				resp, _, err := held("capped", "2000")
+				if err != nil {
+					t.Error(err)
+					codes <- 0
+					return
+				}
+				codes <- resp.StatusCode
+			}()
+		}
+		// Every hold is taken once all but the first have joined the
+		// flight the first started.
+		deadline := time.Now().Add(5 * time.Second)
+		for rec.Counter(obs.StoreCoalesced).Value()-coalesced < uint64(limit-1) {
+			if time.Now().After(deadline) {
+				t.Fatal("held requests never all joined the flight")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		holds, computing := holdCount(), rec.Snapshot().Counter(obs.ClusterInternalComputing)
+		start := time.Now()
+		resp, _, err := held("capped", "2000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wall := time.Since(start); resp.StatusCode != http.StatusAccepted || wall > time.Second {
+			t.Fatalf("request past the cap answered %d after %v, want 202 at once", resp.StatusCode, wall)
+		}
+		if got := rec.Snapshot().Counter(obs.ClusterInternalComputing) - computing; got != 1 {
+			t.Fatalf("cluster.internal.computing += %d, want 1", got)
+		}
+		if got := holdCount(); got != holds {
+			t.Fatalf("the request past the cap was held (hold count %d -> %d)", holds, got)
+		}
+		openCap()
+		for i := 0; i < limit; i++ {
+			if code := <-codes; code != http.StatusOK {
+				t.Fatalf("held request answered %d, want 200", code)
+			}
+		}
+		if got := capExecs.Load(); got != 1 {
+			t.Fatalf("capped key executed %d times, want 1", got)
+		}
+	})
+	t.Run("closed store answers 503", func(t *testing.T) {
+		if err := srv.cfg.Store.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, hold := range []string{"", "2000"} {
+			resp, _, err := held("inst", hold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("hold %q on a closed store answered %d, want 503", hold, resp.StatusCode)
+			}
+		}
+	})
+}
+
+// gatedExp is a registry experiment that counts executions and parks
+// until gate closes.
+func gatedExp(id string, execs *atomic.Int64, gate <-chan struct{}) core.Experiment {
+	return core.Experiment{
+		ID:    id,
+		Title: "gated " + id,
+		Run: func(ctx context.Context, opt core.Options) (*core.Report, error) {
+			execs.Add(1)
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return &core.Report{Title: id}, nil
+		},
+	}
+}
+
+// TestHoldWindow pins the owner's parse of the hold a follower names:
+// a positive count of milliseconds clamped to maxHold, and no hold for
+// anything else.
+func TestHoldWindow(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"", 0},
+		{"soon", 0},
+		{"-5", 0},
+		{"0", 0},
+		{"1e9", 0},
+		{" 150", 0},
+		{"150", 150 * time.Millisecond},
+		{"1999", 1999 * time.Millisecond},
+		{"2000", maxHold},
+		{"1000000000", maxHold},
+		{"99999999999999999999", maxHold},
+		{"-99999999999999999999", 0},
+	} {
+		if got := holdWindow(tc.in); got != tc.want {
+			t.Errorf("holdWindow(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// FuzzHoldHeader throws arbitrary header values at the owner's hold
+// parse: whatever a peer sends, the owner holds for a whole number of
+// milliseconds in [0, maxHold].
+func FuzzHoldHeader(f *testing.F) {
+	for _, v := range []string{"", "soon", "-5", "0", "1e9", "150", "2000", "1000000000",
+		"99999999999999999999", "-99999999999999999999", "+7", "0x10"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		got := holdWindow(v)
+		if got < 0 || got > maxHold || got%time.Millisecond != 0 {
+			t.Fatalf("holdWindow(%q) = %v, outside whole milliseconds in [0, %v]", v, got, maxHold)
 		}
 	})
 }

@@ -168,7 +168,7 @@ func (n *Node) Addr() string { return n.addr }
 func (n *Node) URL() string { return "http://" + n.addr }
 
 // Shutdown drains the node in dependency order: crawler and peer-fill
-// polling stop first, then sweep passes, then the HTTP listener and
+// retries stop first, then sweep passes, then the HTTP listener and
 // the store (via Server.Shutdown's drain).
 func (n *Node) Shutdown(ctx context.Context) error {
 	if n.Cluster != nil {

@@ -71,8 +71,9 @@ type Config struct {
 	// clients opt into paper-scale runs with ?opt.scale=full.
 	DefaultScale core.Scale
 	// RequestTimeout, when positive, bounds each request's context; an
-	// expired request answers 504 while the underlying computation
-	// (bounded separately by ComputeTimeout) keeps warming the store.
+	// expired request answers 504 at its deadline — the request that
+	// started the computation included — while the computation (bounded
+	// separately by ComputeTimeout) keeps running and lands in the store.
 	RequestTimeout time.Duration
 	// ComputeTimeout, when positive, becomes Options.Timeout for every
 	// computation, so runaway experiments end in DeadlineError instead
@@ -82,7 +83,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Cluster, when non-nil, reports the node's ring and per-peer
 	// state in /healthz. The internal peer-fill endpoint is served
-	// either way (it is just a Peek-or-warm view of the store), but
+	// either way (it is just a Peek-or-hold view of the store), but
 	// only clustered nodes have peers to call it.
 	Cluster *cluster.Cluster
 }
@@ -98,15 +99,13 @@ type Server struct {
 	http *http.Server
 	ln   net.Listener
 
-	// warming tracks keys being computed in the background for peers
-	// (the internal endpoint's 202 path), deduplicating the spawned
-	// store.Get per key.
-	warmMu  sync.Mutex
-	warming map[store.Key]bool
+	// holds is the semaphore of internal requests held on a cold key
+	// (holdsPerSlot per compute slot).
+	holds chan struct{}
 
 	requests, busy, notModified, errs *obs.Counter
 	internalReqs, internalComputing   *obs.Counter
-	latency                           *obs.Histogram
+	latency, holdWall                 *obs.Histogram
 }
 
 // New builds a Server around cfg.Store.
@@ -125,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:               cfg,
 		list:              cfg.Registry,
 		byID:              make(map[string]core.Experiment, len(cfg.Registry)),
-		warming:           make(map[store.Key]bool),
+		holds:             make(chan struct{}, holdsPerSlot*cfg.Store.Slots()),
 		requests:          rec.Counter(obs.ServeRequests),
 		busy:              rec.Counter(obs.ServeBusy),
 		notModified:       rec.Counter(obs.ServeNotModified),
@@ -133,6 +132,7 @@ func New(cfg Config) (*Server, error) {
 		internalReqs:      rec.Counter(obs.ClusterInternalRequests),
 		internalComputing: rec.Counter(obs.ClusterInternalComputing),
 		latency:           rec.Histogram(obs.ServeRequestWall),
+		holdWall:          rec.Histogram(obs.ClusterInternalHoldWall),
 	}
 	for _, e := range cfg.Registry {
 		s.byID[e.ID] = e

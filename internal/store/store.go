@@ -131,7 +131,7 @@ type Store struct {
 	slots chan struct{}
 
 	// base is the computations' root context: detached from any single
-	// request (so a coalesced computation survives its leader's client
+	// request (so a computation survives every waiting client
 	// disconnecting) and cancelled by Close to stop stragglers.
 	base   context.Context
 	cancel context.CancelFunc
@@ -223,16 +223,18 @@ func New(cfg Config) (*Store, error) {
 // Get returns the result for (e, opt), computing it at most once no
 // matter how many goroutines ask concurrently. The fast path is a
 // mutex-guarded map lookup; a miss either joins the key's in-flight
-// computation or becomes its leader — acquiring a compute slot (waiting
-// in a bounded queue, ErrBusy beyond it), consulting the persisted
-// rendering if Dir is set, and finally running core.Execute.
+// computation or starts it — on its own goroutine, which acquires a
+// compute slot (waiting in a bounded queue, ErrBusy beyond it),
+// consults the persisted rendering if Dir is set, and finally runs
+// core.Execute.
 //
-// ctx bounds this caller's wait only: a follower whose ctx expires
-// leaves the flight (ctx.Err()) while the computation itself keeps
-// running under the store's root context, bounded by opt.Timeout — so
-// one impatient client can never kill a result that others (or a
-// retry) are about to reuse. Errors are not cached; the flight's
-// followers share the leader's error and the next request retries.
+// ctx bounds this caller's wait only, the caller that started the
+// flight included: whoever's ctx expires leaves with ctx.Err() while
+// the computation keeps running under the store's root context, bounded
+// by opt.Timeout — so one impatient client can never kill a result that
+// others (or a retry) are about to reuse. The starting caller's
+// deadline also bounds the peer-fill hook. Errors are not cached; every
+// waiter shares the flight's error and the next request retries.
 func (s *Store) Get(ctx context.Context, e core.Experiment, opt core.Options) (*Result, error) {
 	key := KeyFor(e.ID, opt)
 
@@ -248,23 +250,33 @@ func (s *Store) Get(ctx context.Context, e core.Experiment, opt core.Options) (*
 		s.hits.Inc()
 		return res, nil
 	}
-	if f, ok := s.flights[key]; ok {
+	f, ok := s.flights[key]
+	if ok {
 		s.mu.Unlock()
 		s.coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	} else {
+		f = &flight{done: make(chan struct{})}
+		s.flights[key] = f
+		s.inflight.Add(1)
+		s.mu.Unlock()
+		s.misses.Inc()
+		deadline, _ := ctx.Deadline()
+		go s.fly(f, deadline, key, e, opt)
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	s.misses.Inc()
+	select {
+	case <-f.done:
+		return f.res, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
 
-	f.res, f.err = s.compute(ctx, key, e, opt)
+// fly runs one flight to completion, detached from every caller: its
+// result lands in the cache (or its error is shared) whether or not
+// anyone is still waiting. A non-zero deadline is the starting caller's
+// and bounds only the peer-fill hook.
+func (s *Store) fly(f *flight, deadline time.Time, key Key, e core.Experiment, opt core.Options) {
+	f.res, f.err = s.compute(deadline, key, e, opt)
 
 	s.mu.Lock()
 	delete(s.flights, key)
@@ -274,7 +286,6 @@ func (s *Store) Get(ctx context.Context, e core.Experiment, opt core.Options) (*
 	s.mu.Unlock()
 	close(f.done)
 	s.inflight.Done()
-	return f.res, f.err
 }
 
 // Slots reports the store's compute-slot count, so front ends can size
@@ -282,7 +293,7 @@ func (s *Store) Get(ctx context.Context, e core.Experiment, opt core.Options) (*
 func (s *Store) Slots() int { return s.cfg.Slots }
 
 // SetPeerFill installs (or clears, with nil) the fill-without-compute
-// hook consulted by flight leaders after the disk probe and before
+// hook consulted by flights after the disk probe and before
 // core.Execute. It is set after construction because the hook's owner
 // (the cluster layer) is itself built around the store.
 func (s *Store) SetPeerFill(f FillFunc) {
@@ -292,7 +303,7 @@ func (s *Store) SetPeerFill(f FillFunc) {
 }
 
 // Load reports the compute pool's instantaneous occupancy: slots in
-// use, leaders waiting for a slot, and the slot capacity. The
+// use, flights waiting for a slot, and the slot capacity. The
 // precompute crawler uses it to confine warming to idle capacity.
 func (s *Store) Load() (inUse, waiting, slots int) {
 	s.mu.Lock()
@@ -361,9 +372,10 @@ func (s *Store) Bytes() int64 {
 	return s.bytes
 }
 
-// compute is the flight leader's path: slot acquisition with bounded
-// queueing, the disk probe, and the experiment run itself.
-func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt core.Options) (*Result, error) {
+// compute is a flight's path: slot acquisition with bounded queueing
+// (the wait ends only when a slot frees or the store closes), the disk
+// probe, the peer-fill hook, and the experiment run itself.
+func (s *Store) compute(deadline time.Time, key Key, e core.Experiment, opt core.Options) (*Result, error) {
 	select {
 	case s.slots <- struct{}{}:
 	default:
@@ -384,8 +396,6 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 		}()
 		select {
 		case s.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		case <-s.base.Done():
 			return nil, ErrClosed
 		}
@@ -399,19 +409,19 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 
 	// Fill-without-compute: before paying for core.Execute, ask the
 	// installed hook (the cluster layer's peer-fill) for the finished
-	// rendering. The hook runs detached from the leader's cancellation —
-	// like the compute itself, its result outlives one impatient client —
-	// but inherits the leader's deadline so a slow peer cannot stall the
-	// request past its budget (the hook is expected to give up well
+	// rendering. The hook runs on the store's root context — like the
+	// compute itself, its result outlives one impatient client — but
+	// inherits the starting caller's deadline so a slow peer cannot stall
+	// the request past its budget (the hook is expected to give up well
 	// before then and let the local compute fit the remaining time).
 	s.mu.Lock()
 	fill := s.peerFill
 	s.mu.Unlock()
 	if fill != nil {
 		fctx := s.base
-		if dl, ok := ctx.Deadline(); ok {
+		if !deadline.IsZero() {
 			var cancel context.CancelFunc
-			fctx, cancel = context.WithDeadline(s.base, dl)
+			fctx, cancel = context.WithDeadline(s.base, deadline)
 			defer cancel()
 		}
 		if res, ok := fill(fctx, key, e, opt); ok {
@@ -421,7 +431,7 @@ func (s *Store) compute(ctx context.Context, key Key, e core.Experiment, opt cor
 	}
 
 	// The run itself, under the shared RetryPolicy. Attempts execute on
-	// the store's root context (a flight outlives its leader's client),
+	// the store's root context (a flight outlives its callers),
 	// each bounded by opt.Timeout.
 	attempts := s.cfg.ComputeRetries
 	switch {

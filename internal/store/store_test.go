@@ -469,3 +469,120 @@ func TestFollowerCtxExpiry(t *testing.T) {
 		t.Errorf("executions = %d", execs.Load())
 	}
 }
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQueuedLeaderCancelDoesNotFailFollowers: the caller that started a
+// flight gives up while the flight is queued for a slot. A follower
+// still waiting on the same key gets the report — the leader's
+// cancellation neither fails nor cancels the flight — and the key
+// executes once.
+func TestQueuedLeaderCancelDoesNotFailFollowers(t *testing.T) {
+	rec := obs.New()
+	s, err := New(Config{Slots: 1, MaxQueue: 1, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+
+	var holderExecs, execs atomic.Int64
+	started := make(chan struct{})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close's drain, even when a check fails early
+	holderDone := make(chan error, 1)
+	go func() {
+		_, err := s.Get(context.Background(), fakeExp("holder", &holderExecs, started, gate), core.Options{})
+		holderDone <- err
+	}()
+	<-started // the only slot is taken
+
+	e := fakeExp("queued", &execs, nil, nil)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := s.Get(leaderCtx, e, core.Options{})
+		leaderDone <- err
+	}()
+	waitUntil(t, "the leader's flight to queue", func() bool {
+		return rec.Gauge(obs.StoreQueueDepth).Value() == 1
+	})
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	followerDone := make(chan outcome, 1)
+	go func() {
+		res, err := s.Get(context.Background(), e, core.Options{})
+		followerDone <- outcome{res, err}
+	}()
+	waitUntil(t, "the follower to join", func() bool {
+		return rec.Counter(obs.StoreCoalesced).Value() == 1
+	})
+
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader = %v, want context.Canceled", err)
+	}
+	release()
+	if err := <-holderDone; err != nil {
+		t.Fatal(err)
+	}
+	got := <-followerDone
+	if got.err != nil || got.res == nil {
+		t.Fatalf("follower = (%v, %v), want the report", got.res, got.err)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("queued key executed %d times, want 1", n)
+	}
+}
+
+// TestLeaderReturnsAtItsDeadline: the caller that starts a flight is
+// bounded by its own deadline like any other waiter — it leaves with
+// DeadlineExceeded when the deadline passes, and the computation still
+// lands in the cache.
+func TestLeaderReturnsAtItsDeadline(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+
+	var execs atomic.Int64
+	gate := make(chan struct{})
+	e := fakeExp("slowlead", &execs, nil, gate)
+	time.AfterFunc(300*time.Millisecond, func() { close(gate) })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = s.Get(ctx, e, core.Options{})
+	wall := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader = %v after %v, want DeadlineExceeded", err, wall)
+	}
+	if wall > 200*time.Millisecond {
+		t.Fatalf("leader returned after %v, want ~its 20ms deadline", wall)
+	}
+
+	key := KeyFor(e.ID, core.Options{})
+	waitUntil(t, "the abandoned computation to land", func() bool { return s.Cached(key) })
+	if _, err := s.Get(context.Background(), e, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("executions = %d, want 1", n)
+	}
+}
