@@ -7,7 +7,8 @@ BENCH_OUT ?= BENCH_PR18.json
 # gofmt-formatted, pass under -race, the batched pipeline must remain
 # bit-identical to the legacy per-Ref path, per-PE cache probes to
 # dedicated per-configuration machines, the paged directory to a naive
-# map-of-sets model, and the profiler's compaction to its pinned counts
+# map-of-sets model, the flat caches to the map-based caches they
+# replaced, and the profiler's compaction to its pinned counts
 # (short-mode equivalence run),
 # the v1 HTTP server must boot, answer /v1/experiments with valid
 # JSON, and drain (serve-smoke), a parameter-lattice sweep must run
@@ -43,8 +44,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Block/fan-out delivery must produce the same statistics — and, with a
-# Recorder attached, the same per-stage metric counters — as per-Ref
-# delivery for every kernel (see internal/core/equivalence_test.go).
+# Recorder attached, the same per-stage metric counters, on both engines
+# and with profilers, LRU and 4-way caches — as per-Ref delivery for every
+# kernel (see internal/core/equivalence_test.go), and a machine's
+# published counters must follow the publication contract (per block,
+# then exact at Close).
 # The sharded fanout is held to Tee on every kernel (including under
 # GOMAXPROCS=1 and 2), the region-sharded machine engine to the serial
 # memory system (bit-identical statistics, run-to-run determinism, and
@@ -53,11 +57,15 @@ fmt-check:
 # on both engines. The paged coherence directory is held to a naive
 # map-of-sets model (statistics, sharers, dirty bits and every PE's exact
 # invalidation sequence, at P = 4, 64 and 1024, on both sides of the line
-# table's dense bound), and the stack profiler's compaction to the counts
-# of its known phantom slot, which the golden report hashes depend on.
+# table's dense bound), the flat LRU and set-associative caches to the
+# map-based caches they replaced (a seeded stress test of reads, writes,
+# invalidations and a statistics reset, compared after every operation),
+# and the stack profiler's compaction to the counts of its known phantom
+# slot, which the golden report hashes depend on.
 equivalence:
 	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
-	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot' ./internal/coherence/ ./internal/cache/
+	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot|TestFlatCachesMatchOracles' ./internal/coherence/ ./internal/cache/
+	$(GO) test -short -run 'TestPublicationContract' ./internal/memsys/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,
@@ -104,13 +112,15 @@ race:
 
 # Longer-running decoder fuzz (30s per target), as used in CI's
 # extended job: the trace replayer, the v1 query decoder, the
-# follower's peer-response gate (digest and schema) and the owner's
-# parse of the hold a peer names.
+# follower's peer-response gate (digest and schema), the owner's
+# parse of the hold a peer names, and the suite journal's opener (every
+# open syncs a file, so this target runs a few hundred inputs a second).
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequestV1 -fuzztime=30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz=FuzzPeerResponse -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzHoldHeader -fuzztime=30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenJournal -fuzztime=30s ./internal/core/
 
 # Delivery, sweep-engine, and serving-tier benchmarks (ring lookup,
 # warm peer-fill, wsload cached-RPS and overload shedding); results are

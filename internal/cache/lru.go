@@ -9,38 +9,60 @@ import (
 // LRU is an exact fully associative cache with least-recently-used
 // replacement, the measurement instrument of the paper's Section 2.2.
 // Capacity is expressed in lines; byte capacity is capacityLines*lineSize.
+//
+// A hit touches only plain, pointer-free memory: resident lines live in a
+// slot array linked into a recency list by int32 indexes, and an
+// open-addressing index finds a line's slot. An insert allocates no heap
+// node, and the garbage collector never scans either table. The history
+// of seen and invalidated lines is a map, read only on a miss or an
+// invalidation.
 type LRU struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
 	capacity int
 
-	// Intrusive doubly linked list over table entries, most recent first.
-	table map[uint64]*lruNode
-	head  *lruNode // most recently used
-	tail  *lruNode // least recently used
+	// slots[0] is the sentinel of a circular, doubly linked recency list
+	// over the resident lines: slots[0].next is the most recently used,
+	// slots[0].prev the least. free holds the slots that invalidations
+	// and evictions released, for the next insert.
+	slots []lruSlot
+	free  []int32
+	n     int // resident lines
 
-	// invalidated remembers lines removed by coherence actions so the next
-	// access can be classified as a coherence miss rather than cold.
-	invalidated map[uint64]struct{}
-	// seen remembers every line ever touched, to distinguish cold misses
-	// from capacity misses after eviction.
-	seen map[uint64]struct{}
+	// index is a linear-probing hash table of resident lines' slot
+	// numbers (0 is an empty entry), deleted from by backward shift so no
+	// tombstones build up. Its length, 1<<bits, starts at 16 and doubles
+	// whenever an insert would fill it past half, so a full cache's index
+	// holds at least 2×capacity entries while one that never fills stays
+	// small.
+	index []int32
+	bits  uint
+
+	history history
 
 	stats Stats
 
-	// Run-scope capacity-eviction counter, live only after Instrument.
-	mEvictions *obs.Counter
+	// evictions counts capacity evictions over the run; published is
+	// the part already added to mEvictions, which is live only after
+	// Instrument.
+	evictions, published uint64
+	mEvictions           *obs.Counter
 }
 
-type lruNode struct {
+type lruSlot struct {
 	line       uint64
+	prev, next int32
 	dirty      bool
-	prev, next *lruNode
 }
+
+// minIndexBits sizes a new cache's index: 16 entries, enough for 8 lines
+// before the first doubling.
+const minIndexBits = 4
 
 // NewLRU builds a fully associative LRU cache holding capacityLines lines of
 // lineSize bytes each. capacityLines must be positive and lineSize a power
-// of two; violations return an error wrapping ErrInvalidConfig.
+// of two; violations return an error wrapping ErrInvalidConfig. Slot
+// numbers are int32, so at most 2^31−2 lines can be resident at once.
 func NewLRU(capacityLines int, lineSize uint32) (*LRU, error) {
 	if capacityLines <= 0 {
 		return nil, fmt.Errorf("%w: LRU capacity %d must be positive", ErrInvalidConfig, capacityLines)
@@ -48,14 +70,15 @@ func NewLRU(capacityLines int, lineSize uint32) (*LRU, error) {
 	if err := validateLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	return &LRU{
-		lineSize:    lineSize,
-		shift:       lineShift(lineSize),
-		capacity:    capacityLines,
-		table:       make(map[uint64]*lruNode, capacityLines+1),
-		invalidated: make(map[uint64]struct{}),
-		seen:        make(map[uint64]struct{}),
-	}, nil
+	c := &LRU{
+		lineSize: lineSize,
+		shift:    lineShift(lineSize),
+		capacity: capacityLines,
+		slots:    make([]lruSlot, 1, min(capacityLines, 1<<minIndexBits)+1),
+		history:  make(history),
+	}
+	c.rehash(minIndexBits)
+	return c, nil
 }
 
 // MustLRU is NewLRU for statically-valid configurations; it panics on error.
@@ -76,7 +99,7 @@ func (c *LRU) CapacityBytes() uint64 {
 }
 
 // Len reports the number of resident lines.
-func (c *LRU) Len() int { return len(c.table) }
+func (c *LRU) Len() int { return c.n }
 
 // Access touches the line containing addr and returns the outcome.
 // Writes mark the line dirty; its eventual eviction or invalidation
@@ -88,86 +111,110 @@ func (c *LRU) Access(addr uint64, read bool) AccessResult {
 }
 
 func (c *LRU) touch(line uint64, dirty bool) AccessResult {
-	if n, ok := c.table[line]; ok {
-		c.moveToFront(n)
-		n.dirty = n.dirty || dirty
+	i := c.probe(line)
+	if s := c.index[i]; s != 0 {
+		if c.slots[0].next != s {
+			c.unlink(s)
+			c.pushFront(s)
+		}
+		if dirty {
+			c.slots[s].dirty = true
+		}
 		return Hit
 	}
-	var res AccessResult
+	res := c.history.miss(line)
+	// Make room first: the victim is the least recently used line, the
+	// same one inserting first and evicting the overflow would pick.
+	// Either change moves index entries, so line is probed again.
 	switch {
-	case c.isInvalidated(line):
-		res = CoherenceMiss
-		delete(c.invalidated, line)
-	case c.wasSeen(line):
-		res = CapacityMiss
-	default:
-		res = ColdMiss
-		c.seen[line] = struct{}{}
+	case c.n == c.capacity:
+		c.remove(c.probe(c.slots[c.slots[0].prev].line))
+		c.evictions++
+		i = c.probe(line)
+	case 2*(c.n+1) > len(c.index):
+		c.rehash(c.bits + 1)
+		i = c.probe(line)
 	}
-	c.insert(line, dirty)
+	var s int32
+	if k := len(c.free); k > 0 {
+		s = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		s = int32(len(c.slots))
+		c.slots = append(c.slots, lruSlot{})
+	}
+	c.slots[s] = lruSlot{line: line, dirty: dirty}
+	c.pushFront(s)
+	c.index[i] = s
+	c.n++
 	return res
 }
 
-func (c *LRU) isInvalidated(line uint64) bool {
-	_, ok := c.invalidated[line]
-	return ok
+// home is line's first index position: the top bits of a Fibonacci hash,
+// so strided line numbers spread over the table.
+func (c *LRU) home(line uint64) uint64 {
+	return (line * 0x9E3779B97F4A7C15) >> (64 - c.bits)
 }
 
-func (c *LRU) wasSeen(line uint64) bool {
-	_, ok := c.seen[line]
-	return ok
-}
-
-func (c *LRU) insert(line uint64, dirty bool) {
-	n := &lruNode{line: line, dirty: dirty}
-	c.table[line] = n
-	c.pushFront(n)
-	if len(c.table) > c.capacity {
-		c.evict(c.tail)
-		c.mEvictions.Inc()
+// probe returns the index position holding line's slot, or the empty
+// position where line would be entered.
+func (c *LRU) probe(line uint64) uint64 {
+	mask := uint64(len(c.index) - 1)
+	for i := c.home(line); ; i = (i + 1) & mask {
+		if s := c.index[i]; s == 0 || c.slots[s].line == line {
+			return i
+		}
 	}
 }
 
-func (c *LRU) evict(n *lruNode) {
-	if n.dirty {
+// rehash rebuilds the index at 1<<bits entries over the resident lines.
+func (c *LRU) rehash(bits uint) {
+	c.bits = bits
+	c.index = make([]int32, 1<<bits)
+	for s := c.slots[0].next; s != 0; s = c.slots[s].next {
+		c.index[c.probe(c.slots[s].line)] = s
+	}
+}
+
+// remove drops the resident line whose index entry is at i, counting a
+// writeback if it is dirty, and frees its slot.
+func (c *LRU) remove(i uint64) {
+	s := c.index[i]
+	if c.slots[s].dirty {
 		c.stats.Writebacks++
 	}
-	c.unlink(n)
-	delete(c.table, n.line)
+	c.unlink(s)
+	c.free = append(c.free, s)
+	c.n--
+	// Backward shift: walk the cluster after i, moving back into the hole
+	// every entry whose home does not lie cyclically in (hole, j], so
+	// every remaining line stays reachable from its home.
+	mask := uint64(len(c.index) - 1)
+	for j := i; ; {
+		j = (j + 1) & mask
+		e := c.index[j]
+		if e == 0 {
+			break
+		}
+		if (j-c.home(c.slots[e].line))&mask >= (j-i)&mask {
+			c.index[i] = e
+			i = j
+		}
+	}
+	c.index[i] = 0
 }
 
-func (c *LRU) moveToFront(n *lruNode) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
+func (c *LRU) pushFront(s int32) {
+	head := c.slots[0].next
+	c.slots[s].prev, c.slots[s].next = 0, head
+	c.slots[head].prev = s
+	c.slots[0].next = s
 }
 
-func (c *LRU) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *LRU) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+func (c *LRU) unlink(s int32) {
+	prev, next := c.slots[s].prev, c.slots[s].next
+	c.slots[prev].next = next
+	c.slots[next].prev = prev
 }
 
 // Invalidate removes the line containing addr, recording that its next
@@ -175,18 +222,15 @@ func (c *LRU) unlink(n *lruNode) {
 // the remote write communicated fresh data either way.
 func (c *LRU) Invalidate(addr uint64) {
 	line := addr >> c.shift
-	if n, ok := c.table[line]; ok {
-		c.evict(n)
+	if i := c.probe(line); c.index[i] != 0 {
+		c.remove(i)
 	}
-	if c.wasSeen(line) {
-		c.invalidated[line] = struct{}{}
-	}
+	c.history.invalidate(line)
 }
 
 // Contains reports whether the line holding addr is resident.
 func (c *LRU) Contains(addr uint64) bool {
-	_, ok := c.table[addr>>c.shift]
-	return ok
+	return c.index[c.probe(addr>>c.shift)] != 0
 }
 
 // Stats returns the accumulated statistics.
@@ -197,3 +241,34 @@ func (c *LRU) Stats() Stats { return c.stats }
 func (c *LRU) ResetStats() { c.stats = Stats{} }
 
 var _ Cache = (*LRU)(nil)
+
+// history remembers every line a concrete cache has touched: false once
+// seen, true while the line's next access is a coherence miss because a
+// remote write invalidated it. The caches read it only on a miss or an
+// invalidation, never on a hit.
+type history map[uint64]bool
+
+// miss classifies a miss on line and records the line as seen:
+// CoherenceMiss after an invalidation, ColdMiss for a line never touched,
+// and CapacityMiss for one evicted since its last use (SetAssoc splits
+// those into capacity and conflict misses).
+func (h history) miss(line uint64) AccessResult {
+	inv, seen := h[line]
+	switch {
+	case inv:
+		h[line] = false
+		return CoherenceMiss
+	case seen:
+		return CapacityMiss
+	}
+	h[line] = false
+	return ColdMiss
+}
+
+// invalidate marks a seen line so its next access is a coherence miss. A
+// line never touched stays unseen: its first access is cold either way.
+func (h history) invalidate(line uint64) {
+	if _, seen := h[line]; seen {
+		h[line] = true
+	}
+}

@@ -54,7 +54,10 @@ type Profiler interface {
 	ErrorBound() float64
 
 	// Observability (run-scope counters; nil Recorder is a no-op).
+	// Accesses are counted in a plain run total, and Publish adds what
+	// was counted since the last Publish to the run-scope counter.
 	Instrument(rec *obs.Recorder)
+	Publish()
 }
 
 var (
@@ -186,7 +189,7 @@ func (p *SampledStackProfiler) Access(addr uint64, size uint32, read bool) {
 	if size == 0 {
 		return
 	}
-	p.inner.mAccesses.Inc()
+	p.inner.accesses++
 	first := addr >> p.inner.shift
 	last := (addr + uint64(size) - 1) >> p.inner.shift
 	for line := first; ; line++ {
@@ -200,7 +203,7 @@ func (p *SampledStackProfiler) Access(addr uint64, size uint32, read bool) {
 // AccessLine processes a one-line reference to the line containing addr
 // and reports whether it was sampled and missed at every capacity.
 func (p *SampledStackProfiler) AccessLine(addr uint64, read bool) bool {
-	p.inner.mAccesses.Inc()
+	p.inner.accesses++
 	return p.count(addr>>p.inner.shift, read)
 }
 
@@ -321,5 +324,9 @@ func (p *SampledStackProfiler) ErrorBound() float64 {
 func (p *SampledStackProfiler) Instrument(rec *obs.Recorder) {
 	p.inner.Instrument(rec)
 }
+
+// Publish publishes the inner profiler's access total, which counts every
+// reference, sampled or not.
+func (p *SampledStackProfiler) Publish() { p.inner.Publish() }
 
 var _ trace.BlockConsumer = (*SampledStackProfiler)(nil)

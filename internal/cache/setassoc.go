@@ -9,32 +9,35 @@ import (
 // SetAssoc is a set-associative cache with LRU replacement within each set.
 // Assoc=1 gives a direct-mapped cache, which Section 6.4 of the paper uses
 // to show the Barnes-Hut working set needs roughly 3x the fully associative
-// capacity. A miss caused by eviction is classified as ConflictMiss when a
-// same-capacity fully associative cache would have hit (approximated by the
-// line still being within the last `capacity` distinct lines — we use the
-// simpler and standard convention: eviction from a non-full *cache* is a
-// conflict; eviction when total occupancy equals capacity is capacity).
+// capacity. A re-miss on a line evicted since its last use is a capacity
+// miss when every way of the cache is occupied, and a conflict miss
+// otherwise: its set filled while the cache still had room.
+//
+// All ways live in one flat slice, so a hit scans and reorders plain
+// memory; the history of seen and invalidated lines is a map, read only on
+// a miss or an invalidation.
 type SetAssoc struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
 	sets     int
 	assoc    int
 
-	ways        [][]setWay // per set, LRU-ordered slice, most recent first
-	occupied    int
-	seen        map[uint64]struct{}
-	invalidated map[uint64]struct{}
+	// ways holds set s in ways[s*assoc:(s+1)*assoc], most recent first.
+	// The set's valid ways are the prefix of length fill[s], so every
+	// uint64 is a valid line number and no tag value is reserved.
+	ways     []uint64
+	fill     []int32
+	occupied int
+
+	history history
 
 	stats Stats
 
-	// Run-scope capacity/conflict-eviction counter, live only after
-	// Instrument.
-	mEvictions *obs.Counter
-}
-
-type setWay struct {
-	line  uint64
-	valid bool
+	// evictions counts capacity and conflict evictions over the run;
+	// published is the part already added to mEvictions, which is live
+	// only after Instrument.
+	evictions, published uint64
+	mEvictions           *obs.Counter
 }
 
 // NewSetAssoc builds a cache with the given total capacity in lines,
@@ -53,18 +56,14 @@ func NewSetAssoc(capacityLines, assoc int, lineSize uint32) (*SetAssoc, error) {
 	if err := validateLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	ways := make([][]setWay, sets)
-	for i := range ways {
-		ways[i] = make([]setWay, 0, assoc)
-	}
 	return &SetAssoc{
-		lineSize:    lineSize,
-		shift:       lineShift(lineSize),
-		sets:        sets,
-		assoc:       assoc,
-		ways:        ways,
-		seen:        make(map[uint64]struct{}),
-		invalidated: make(map[uint64]struct{}),
+		lineSize: lineSize,
+		shift:    lineShift(lineSize),
+		sets:     sets,
+		assoc:    assoc,
+		ways:     make([]uint64, capacityLines),
+		fill:     make([]int32, sets),
+		history:  make(history),
 	}, nil
 }
 
@@ -100,8 +99,15 @@ func (c *SetAssoc) Assoc() int { return c.assoc }
 // LineSize reports the configured line size in bytes.
 func (c *SetAssoc) LineSize() uint32 { return c.lineSize }
 
-func (c *SetAssoc) setIndex(line uint64) int {
-	return int(line & uint64(c.sets-1))
+// Len reports the number of resident lines.
+func (c *SetAssoc) Len() int { return c.occupied }
+
+// set returns line's set index and the set's valid ways, most recent
+// first.
+func (c *SetAssoc) set(line uint64) (int, []uint64) {
+	si := int(line & uint64(c.sets-1))
+	base := si * c.assoc
+	return si, c.ways[base : base+int(c.fill[si])]
 }
 
 // Access touches the line containing addr and returns the outcome.
@@ -112,44 +118,34 @@ func (c *SetAssoc) Access(addr uint64, read bool) AccessResult {
 }
 
 func (c *SetAssoc) touch(line uint64) AccessResult {
-	si := c.setIndex(line)
-	set := c.ways[si]
-	for i := range set {
-		if set[i].valid && set[i].line == line {
-			// Move to front (LRU position 0).
-			w := set[i]
-			copy(set[1:i+1], set[:i])
-			set[0] = w
+	si, set := c.set(line)
+	for i, l := range set {
+		if l == line {
+			// Move to front (LRU position 0). Sets are a few ways wide,
+			// where a loop beats a call to memmove.
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = line
 			return Hit
 		}
 	}
-	var res AccessResult
-	if _, inv := c.invalidated[line]; inv {
-		res = CoherenceMiss
-		delete(c.invalidated, line)
-	} else if _, ok := c.seen[line]; ok {
-		// Evicted since last use. If the whole cache was full we call it
-		// capacity; otherwise the set filled while the cache had room, a
-		// pure conflict.
-		if c.occupied >= c.sets*c.assoc {
-			res = CapacityMiss
-		} else {
-			res = ConflictMiss
-		}
-	} else {
-		res = ColdMiss
-		c.seen[line] = struct{}{}
+	res := c.history.miss(line)
+	if res == CapacityMiss && c.occupied < c.sets*c.assoc {
+		res = ConflictMiss
 	}
 	// Insert at LRU position 0, evicting the last way if the set is full.
 	if len(set) < c.assoc {
-		set = append(set, setWay{})
+		c.fill[si]++
 		c.occupied++
+		set = set[:len(set)+1]
 	} else {
-		c.mEvictions.Inc()
+		c.evictions++
 	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = setWay{line: line, valid: true}
-	c.ways[si] = set
+	for i := len(set) - 1; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = line
 	return res
 }
 
@@ -157,20 +153,28 @@ func (c *SetAssoc) touch(line uint64) AccessResult {
 // access as a coherence miss.
 func (c *SetAssoc) Invalidate(addr uint64) {
 	line := addr >> c.shift
-	si := c.setIndex(line)
-	set := c.ways[si]
-	for i := range set {
-		if set[i].valid && set[i].line == line {
+	si, set := c.set(line)
+	for i, l := range set {
+		if l == line {
 			copy(set[i:], set[i+1:])
-			set = set[:len(set)-1]
-			c.ways[si] = set
+			c.fill[si]--
 			c.occupied--
 			break
 		}
 	}
-	if _, ok := c.seen[line]; ok {
-		c.invalidated[line] = struct{}{}
+	c.history.invalidate(line)
+}
+
+// Contains reports whether the line holding addr is resident.
+func (c *SetAssoc) Contains(addr uint64) bool {
+	line := addr >> c.shift
+	_, set := c.set(line)
+	for _, l := range set {
+		if l == line {
+			return true
+		}
 	}
+	return false
 }
 
 // Stats returns the accumulated statistics.

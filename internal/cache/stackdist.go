@@ -66,9 +66,13 @@ type StackProfiler struct {
 	cohRead, cohWrite   uint64
 	reads, writes       uint64
 
-	// Run-scope counters, live only after Instrument (see instrument.go).
-	mAccesses *obs.Counter
-	mQueries  *obs.Counter
+	// accesses counts Access and AccessLine calls over the run, warm-up
+	// included; published is the part already added to mAccesses. The
+	// run-scope counters are live only after Instrument (see
+	// instrument.go).
+	accesses, published uint64
+	mAccesses           *obs.Counter
+	mQueries            *obs.Counter
 }
 
 const (
@@ -119,7 +123,7 @@ func (p *StackProfiler) Access(addr uint64, size uint32, read bool) {
 	if size == 0 {
 		return
 	}
-	p.mAccesses.Inc()
+	p.accesses++
 	first := addr >> p.shift
 	last := (addr + uint64(size) - 1) >> p.shift
 	for line := first; ; line++ {
@@ -134,7 +138,7 @@ func (p *StackProfiler) Access(addr uint64, size uint32, read bool) {
 // and reports whether it missed at every capacity (a cold or coherence
 // miss), whether or not measurement is on.
 func (p *StackProfiler) AccessLine(addr uint64, read bool) bool {
-	p.mAccesses.Inc()
+	p.accesses++
 	return p.touch(addr>>p.shift, read)
 }
 

@@ -101,7 +101,10 @@ type Directory struct {
 	stats    Stats
 
 	// Run-scope transaction counters keyed by MSI state change, live only
-	// after Instrument; nil handles drop updates in one branch each.
+	// after Instrument. The transactions are counted in stats alone;
+	// Publish adds stats − pub to these counters, so the per-line path
+	// makes no atomic add.
+	pub          Stats
 	mReads       *obs.Counter
 	mWrites      *obs.Counter
 	mInvals      *obs.Counter
@@ -130,7 +133,8 @@ const (
 )
 
 // Instrument attaches run-scope transaction counters from rec. A nil rec
-// leaves the directory uninstrumented (the default, zero-cost mode).
+// leaves the directory uninstrumented (the default, zero-cost mode). Only
+// transactions after Instrument are published.
 func (d *Directory) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -140,6 +144,28 @@ func (d *Directory) Instrument(rec *obs.Recorder) {
 	d.mInvals = rec.Counter(MetricInvalidations)
 	d.mInvalWrites = rec.Counter(MetricInvalidatingWrites)
 	d.mDowngrades = rec.Counter(MetricDowngrades)
+	d.pub = d.stats
+}
+
+// Publish adds the protocol events counted since the last Publish to the
+// run-scope counters. The owner of the directory calls it once per block
+// of transactions and at its barriers (memsys does), so a live read of
+// the counters lags the directory by at most one block; ResetStats
+// publishes before it zeroes, so the counters stay run totals.
+func (d *Directory) Publish() {
+	publish(d.mReads, d.stats.ReadRequests, &d.pub.ReadRequests)
+	publish(d.mWrites, d.stats.WriteRequests, &d.pub.WriteRequests)
+	publish(d.mInvals, d.stats.Invalidations, &d.pub.Invalidations)
+	publish(d.mInvalWrites, d.stats.InvalidatingWrites, &d.pub.InvalidatingWrites)
+	publish(d.mDowngrades, d.stats.Downgrades, &d.pub.Downgrades)
+}
+
+// publish adds total's growth since *published to ctr.
+func publish(ctr *obs.Counter, total uint64, published *uint64) {
+	if n := total - *published; n != 0 {
+		ctr.Add(n)
+		*published = total
+	}
 }
 
 // NewDirectory builds a directory for numPEs processors whose caches use
@@ -255,7 +281,6 @@ func (d *Directory) retake(e *entry, pe int, addr uint64) int {
 // invalidate removes pe's copy of the line at addr.
 func (d *Directory) invalidate(pe int, addr uint64) {
 	d.stats.Invalidations++
-	d.mInvals.Inc()
 	if c := d.caches[pe]; c != nil {
 		c.Invalidate(addr)
 	}
@@ -273,12 +298,10 @@ func (d *Directory) Read(pe int, addr uint64) {
 // lines and want to skip the shift.
 func (d *Directory) ReadLine(pe int, line uint64) {
 	d.stats.ReadRequests++
-	d.mReads.Inc()
 	e := d.lines.Ptr(line)
 	if e.owner != 0 && e.owner != uint32(pe)+1 {
 		e.owner = 0
 		d.stats.Downgrades++
-		d.mDowngrades.Inc()
 	}
 	d.addSharer(e, pe)
 }
@@ -295,10 +318,8 @@ func (d *Directory) Write(pe int, addr uint64) {
 // construction).
 func (d *Directory) WriteLine(pe int, line uint64) {
 	d.stats.WriteRequests++
-	d.mWrites.Inc()
 	if d.retake(d.lines.Ptr(line), pe, line<<d.shift) > 0 {
 		d.stats.InvalidatingWrites++
-		d.mInvalWrites.Inc()
 	}
 }
 
@@ -315,5 +336,9 @@ func (d *Directory) IsDirty(addr uint64) bool {
 // Stats returns the accumulated protocol statistics.
 func (d *Directory) Stats() Stats { return d.stats }
 
-// ResetStats clears protocol counters, keeping directory state.
-func (d *Directory) ResetStats() { d.stats = Stats{} }
+// ResetStats clears protocol counters, keeping directory state. It
+// publishes first, so the run-scope counters keep every event.
+func (d *Directory) ResetStats() {
+	d.Publish()
+	d.stats, d.pub = Stats{}, Stats{}
+}

@@ -11,6 +11,7 @@ import (
 
 	"wsstudy/internal/cache"
 	"wsstudy/internal/linetab"
+	"wsstudy/internal/obs"
 )
 
 // inval is one invalidation message: the PE whose copy was removed and
@@ -446,6 +447,48 @@ func TestDirectoryResetStats(t *testing.T) {
 	// Directory state must survive the reset.
 	if d.Sharers(0) != 1 {
 		t.Fatal("directory state lost on ResetStats")
+	}
+}
+
+// TestDirectoryPublish pins how an instrumented directory reaches its
+// run-scope counters: transactions touch only the plain statistics, so the
+// counters stay at zero until Publish; Publish adds the growth since the
+// last one; and ResetStats publishes before it zeroes, so the counters
+// remain run totals across a warm-up reset.
+func TestDirectoryPublish(t *testing.T) {
+	rec := obs.New()
+	d := MustDirectory(3, 8, make([]Invalidator, 3))
+	d.Read(0, 0) // before Instrument: never published
+	d.Instrument(rec)
+	counters := func() Stats {
+		m := rec.Snapshot()
+		return Stats{
+			ReadRequests:       m.Counter(MetricReads),
+			WriteRequests:      m.Counter(MetricWrites),
+			Invalidations:      m.Counter(MetricInvalidations),
+			InvalidatingWrites: m.Counter(MetricInvalidatingWrites),
+			Downgrades:         m.Counter(MetricDowngrades),
+		}
+	}
+	d.Read(1, 0)
+	d.Read(2, 0)
+	d.Write(1, 0) // invalidates PEs 0 and 2
+	if got := counters(); got != (Stats{}) {
+		t.Fatalf("counters moved before Publish: %+v", got)
+	}
+	d.Publish()
+	want := Stats{ReadRequests: 2, WriteRequests: 1, Invalidations: 2, InvalidatingWrites: 1}
+	if got := counters(); got != want {
+		t.Fatalf("after Publish: %+v, want %+v", got, want)
+	}
+	d.Read(0, 8)
+	d.ResetStats()
+	d.Read(2, 0) // downgrades PE 1's modified copy
+	d.Publish()
+	d.Publish() // nothing new: no change
+	want = Stats{ReadRequests: 4, WriteRequests: 1, Invalidations: 2, InvalidatingWrites: 1, Downgrades: 1}
+	if got := counters(); got != want {
+		t.Fatalf("across ResetStats: %+v, want %+v", got, want)
 	}
 }
 

@@ -130,7 +130,8 @@ func (sd *ShardedDirectory) Stats() Stats {
 }
 
 // ResetStats clears every shard's protocol counters, keeping directory
-// state. Like Stats, it must only run at a quiescent (post-barrier) point.
+// state; each shard publishes first. Like Stats, it must only run at a
+// quiescent (post-barrier) point.
 func (sd *ShardedDirectory) ResetStats() {
 	for _, d := range sd.shards {
 		d.ResetStats()
@@ -138,8 +139,10 @@ func (sd *ShardedDirectory) ResetStats() {
 }
 
 // Instrument attaches run-scope transaction counters from rec to every
-// shard. The shards share the recorder's atomic counter handles, so the
-// per-name totals equal the serial directory's exactly.
+// shard. The shards share the recorder's atomic counter handles, so once
+// every shard has published (Directory.Publish, called by the worker that
+// owns the shard), the per-name totals equal the serial directory's
+// exactly.
 func (sd *ShardedDirectory) Instrument(rec *obs.Recorder) {
 	for _, d := range sd.shards {
 		d.Instrument(rec)

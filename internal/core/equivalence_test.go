@@ -5,6 +5,8 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"wsstudy/internal/apps/barneshut"
@@ -442,6 +444,8 @@ func TestEngineChoice(t *testing.T) {
 // is instrumented and the kernel's sink is a metrics-counting context
 // guard, so the snapshot holds the full per-stage counter set (trace
 // delivery, batcher, directory, profiler/caches, miss classification).
+// The system is closed before the snapshot: Close is the end-of-run
+// barrier that publishes every run-scope counter.
 func runPathMetrics(t *testing.T, k kernelCase, cfg memsys.Config, mk func(*memsys.System) trace.Consumer) obs.Metrics {
 	t.Helper()
 	rec := obs.New()
@@ -454,47 +458,119 @@ func runPathMetrics(t *testing.T, k kernelCase, cfg memsys.Config, mk func(*mems
 			t.Fatalf("fanout close: %v", err)
 		}
 	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 	return rec.Snapshot()
+}
+
+// runShardedMetrics is runPathMetrics on the region-sharded engine with
+// the given shard count, fed natively. The snapshot drops the counters
+// only that engine keeps (memsys.shard.* and memsys.barriers), so what is
+// left compares name for name with the serial engine's.
+func runShardedMetrics(t *testing.T, k kernelCase, cfg memsys.Config, shards int) obs.Metrics {
+	t.Helper()
+	rec := obs.New()
+	cfg.Shards = shards
+	m, err := memsys.Open(cfg)
+	if err != nil {
+		t.Fatalf("open (shards=%d): %v", shards, err)
+	}
+	m.Instrument(rec)
+	k.run(t, trace.WithContext(obs.With(context.Background(), rec), m))
+	if err := m.Close(); err != nil {
+		t.Fatalf("close (shards=%d): %v", shards, err)
+	}
+	snap := rec.Snapshot()
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "memsys.shard.") || name == memsys.MetricBarriers {
+			delete(snap.Counters, name)
+		}
+	}
+	return snap
+}
+
+// metricsLegs are the machines TestMetricsEquivalence compares paths on:
+// a profiled PE, LRU caches and 4-way caches. want lists the counters
+// that must be nonzero on every kernel's leg, somewhere those that must
+// be nonzero on the leg of at least one kernel, so a publish that never
+// fires cannot pass as equal zeros on any leg.
+var metricsLegs = []struct {
+	name            string
+	cfg             memsys.Config // WarmupEpochs comes from the kernel
+	want, somewhere []string
+}{
+	{"profiler", memsys.Config{PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1},
+		[]string{cache.MetricProfilerAccesses},
+		[]string{coherence.MetricInvalidations, memsys.MetricRemoteMisses}},
+	{"lru", memsys.Config{PEs: 4, LineSize: 8, CacheCapacity: 64}, nil,
+		[]string{cache.MetricEvictions, coherence.MetricInvalidations, memsys.MetricRemoteMisses}},
+	{"4-way", memsys.Config{PEs: 4, LineSize: 8, CacheCapacity: 64, Assoc: 4}, nil,
+		[]string{cache.MetricEvictions, coherence.MetricInvalidations, memsys.MetricRemoteMisses}},
 }
 
 // TestMetricsEquivalence is the observability face of the block-delivery
 // invariant: with a Recorder attached, every per-stage counter — references
 // and blocks through the guard, batcher deliveries, directory transactions
-// by MSI state change, profiler accesses and queries, local/remote miss
-// classification — must be bit-identical whether the stream reaches the
-// system per-Ref (legacy), in blocks (native), or through a Fanout. The
+// by MSI state change, profiler accesses and queries, cache evictions,
+// local/remote miss classification — must be bit-identical whether the
+// stream reaches the serial system per-Ref (legacy), in blocks (native),
+// or through a Fanout, or reaches the sharded engine at two shards. The
 // counting point for delivery metrics is the guard, upstream of where the
-// three paths diverge; everything else is deterministic simulation state.
+// paths diverge; everything else is deterministic simulation state, which
+// the machines count in plain fields and publish at block ends, the
+// warm-up flip and Close. Every kernel runs every leg of metricsLegs.
 func TestMetricsEquivalence(t *testing.T) {
+	var mu sync.Mutex
+	nonzero := map[string]bool{} // leg name + "/" + counter name
+	// Cleanup runs once the parallel subtests have finished.
+	t.Cleanup(func() {
+		for _, leg := range metricsLegs {
+			for _, name := range leg.somewhere {
+				if !nonzero[leg.name+"/"+name] {
+					t.Errorf("%s: counter %q is zero on every kernel", leg.name, name)
+				}
+			}
+		}
+	})
 	for _, k := range equivalenceKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := memsys.Config{
-				PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: k.warm,
-			}
-			legacy := runPathMetrics(t, k, cfg, mkLegacy)
-			native := runPathMetrics(t, k, cfg, mkNative)
-			fanned := runPathMetrics(t, k, cfg, mkFanout(t))
-			if len(legacy.Counters) == 0 {
-				t.Fatal("legacy path recorded no counters; instrumentation is dead")
-			}
-			for _, name := range []string{
-				obs.RefsDelivered, obs.BlocksDelivered,
-				coherence.MetricReads, coherence.MetricWrites,
-				cache.MetricProfilerAccesses,
-			} {
-				if legacy.Counters[name] == 0 {
-					t.Errorf("counter %q is zero on the legacy path", name)
+			for _, leg := range metricsLegs {
+				cfg := leg.cfg
+				cfg.WarmupEpochs = k.warm
+				legacy := runPathMetrics(t, k, cfg, mkLegacy)
+				native := runPathMetrics(t, k, cfg, mkNative)
+				fanned := runPathMetrics(t, k, cfg, mkFanout(t))
+				sharded := runShardedMetrics(t, k, cfg, 2)
+				if len(legacy.Counters) == 0 {
+					t.Fatalf("%s: legacy path recorded no counters; instrumentation is dead", leg.name)
 				}
-			}
-			if !reflect.DeepEqual(native.Counters, legacy.Counters) {
-				t.Errorf("block path counters diverged from per-Ref path\nblock:  %v\nlegacy: %v",
-					native.Counters, legacy.Counters)
-			}
-			if !reflect.DeepEqual(fanned.Counters, legacy.Counters) {
-				t.Errorf("fanout path counters diverged from per-Ref path\nfanout: %v\nlegacy: %v",
-					fanned.Counters, legacy.Counters)
+				for _, name := range append([]string{
+					obs.RefsDelivered, obs.BlocksDelivered,
+					coherence.MetricReads, coherence.MetricWrites,
+				}, leg.want...) {
+					if legacy.Counters[name] == 0 {
+						t.Errorf("%s: counter %q is zero on the legacy path", leg.name, name)
+					}
+				}
+				mu.Lock()
+				for name, v := range legacy.Counters {
+					if v != 0 {
+						nonzero[leg.name+"/"+name] = true
+					}
+				}
+				mu.Unlock()
+				for _, p := range []struct {
+					name string
+					m    obs.Metrics
+				}{{"block", native}, {"fanout", fanned}, {"sharded", sharded}} {
+					if !reflect.DeepEqual(p.m.Counters, legacy.Counters) {
+						t.Errorf("%s: %s path counters diverged from per-Ref path\n%s: %v\nlegacy: %v",
+							leg.name, p.name, p.name, p.m.Counters, legacy.Counters)
+					}
+				}
 			}
 		})
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -409,4 +411,91 @@ func copyFile(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	return dst
+}
+
+// FuzzOpenJournal writes arbitrary bytes to a journal file and opens it.
+// Opening is the decoder of an untrusted file: it must never panic or
+// fail, and it only ever cuts a journal back — the file it leaves is an
+// intact prefix of the input, or the bare magic when the input does not
+// start with one. A second open is idempotent (same cells, same size),
+// and a cell recorded after the open survives a reopen. The seeds are the
+// magic alone, one valid frame, that frame torn, its CRC flipped, and a
+// frame header claiming more than journalMaxFrame bytes.
+func FuzzOpenJournal(f *testing.F) {
+	quick := Options{Scale: ScaleQuick}
+	seedPath := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := OpenJournal(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rep, _ := journalExp("seed").Run(context.Background(), quick)
+	if err := j.Record("seed", quick, rep); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	valid, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[len(journalMagic)+4] ^= 0xFF
+	huge := binary.LittleEndian.AppendUint32([]byte(journalMagic), journalMaxFrame+1)
+	huge = append(huge, 0, 0, 0, 0, '{', '}')
+	for _, seed := range [][]byte{[]byte(journalMagic), valid, valid[:len(valid)-5], flipped, huge} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "suite.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (*Journal, []byte) {
+			t.Helper()
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatalf("OpenJournal: %v", err)
+			}
+			on, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, on
+		}
+
+		j, first := open()
+		cells := j.Len()
+		j.Close()
+		if bytes.HasPrefix(data, []byte(journalMagic)) {
+			if !bytes.HasPrefix(data, first) || len(first) < len(journalMagic) {
+				t.Fatalf("open left %d bytes that are not a prefix of the %d-byte journal", len(first), len(data))
+			}
+		} else if string(first) != journalMagic {
+			t.Fatalf("open of a non-journal left %q, want the bare magic", first)
+		}
+
+		j, second := open()
+		if j.Len() != cells || len(second) != len(first) {
+			t.Fatalf("second open: %d cells in %d bytes, want %d in %d", j.Len(), len(second), cells, len(first))
+		}
+		_, had := j.Lookup("fuzz", quick)
+		rep, _ := journalExp("fuzz").Run(context.Background(), quick)
+		if err := j.Record("fuzz", quick, rep); err != nil {
+			t.Fatalf("Record after open: %v", err)
+		}
+		j.Close()
+
+		j, _ = open()
+		defer j.Close()
+		if _, ok := j.Lookup("fuzz", quick); !ok {
+			t.Fatal("a cell recorded after the open did not survive a reopen")
+		}
+		want := cells + 1
+		if had {
+			want = cells
+		}
+		if j.Len() != want {
+			t.Fatalf("reopen holds %d cells, want %d", j.Len(), want)
+		}
+	})
 }

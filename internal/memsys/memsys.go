@@ -8,6 +8,7 @@ package memsys
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"wsstudy/internal/cache"
 	"wsstudy/internal/coherence"
@@ -113,7 +114,9 @@ type System struct {
 	epoch     int
 	measuring bool
 
-	// Run-scope miss-classification counters, live only after Instrument.
+	// Run-scope miss-classification counters, live only after Instrument;
+	// pub is the part of stats already added to them.
+	pub     Stats
 	mLocal  *obs.Counter
 	mRemote *obs.Counter
 }
@@ -123,14 +126,51 @@ type System struct {
 // counters on the directory, access/query counters on the profilers, and
 // eviction counters on the concrete caches. A nil rec leaves everything
 // uninstrumented; experiments call it unconditionally with obs.From(ctx).
+//
+// Nothing on the per-line path touches a counter. Each component counts
+// in plain fields, and the system publishes the growth: the directory,
+// the miss classification and the profilers at the end of every Refs
+// block, and everything, caches and probes included, at the warm-up flip
+// (before its reset) and at Close. A live read lags by at most one block,
+// or, for evictions and for a stream fed per Ref, back to the last flip;
+// after Close the counters are exact.
 func (s *System) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
 	}
 	s.mLocal = rec.Counter(MetricLocalMisses)
 	s.mRemote = rec.Counter(MetricRemoteMisses)
+	s.pub = s.stats
 	s.dir.Instrument(rec)
 	s.units.instrument(rec)
+}
+
+// publish adds the growth of the counts published once per block — the
+// directory's transactions, the miss classification and the profilers'
+// accesses — to the run-scope counters, and with all also the caches'
+// and probes' evictions, which walks every unit.
+func (s *System) publish(all bool) {
+	s.dir.Publish()
+	s.stats.publish(&s.pub, s.mLocal, s.mRemote)
+	if all {
+		s.units.publish()
+		return
+	}
+	for _, p := range s.units.profiled {
+		p.Publish()
+	}
+}
+
+// publish adds the miss counts grown since *pub to the local and remote
+// counters.
+func (st *Stats) publish(pub *Stats, local, remote *obs.Counter) {
+	if n := st.LocalMisses - pub.LocalMisses; n != 0 {
+		local.Add(n)
+	}
+	if n := st.RemoteMisses - pub.RemoteMisses; n != 0 {
+		remote.Add(n)
+	}
+	*pub = *st
 }
 
 // normalize validates cfg and fills defaults; New and Open share it so the
@@ -190,6 +230,7 @@ func normalize(cfg Config) (Config, error) {
 type units struct {
 	caches    []cache.Cache           // per PE in cache mode, else nil
 	profilers []cache.Profiler        // per PE in profile mode (nil when unprofiled), else nil
+	profiled  []cache.Profiler        // the non-nil profilers, in PE order
 	probes    [][]cache.Cache         // per PE when Config.Probes is set, else nil
 	inv       []coherence.Invalidator // per PE; nil where nothing is attached
 }
@@ -221,6 +262,7 @@ func buildPEs(cfg Config, measuring bool) (units, error) {
 			}
 			p.SetMeasuring(measuring)
 			u.profilers[pe] = p
+			u.profiled = append(u.profiled, p)
 			u.inv[pe] = p
 		}
 	case cfg.CacheCapacity > 0:
@@ -301,10 +343,8 @@ func (u *units) setMeasuring(on bool) {
 // instrument attaches access/query counters to the profilers and eviction
 // counters to the caches and probes.
 func (u *units) instrument(rec *obs.Recorder) {
-	for _, p := range u.profilers {
-		if p != nil {
-			p.Instrument(rec)
-		}
+	for _, p := range u.profiled {
+		p.Instrument(rec)
 	}
 	for _, c := range u.caches {
 		cache.InstrumentCache(c, rec)
@@ -312,6 +352,23 @@ func (u *units) instrument(rec *obs.Recorder) {
 	for _, list := range u.probes {
 		for _, c := range list {
 			cache.InstrumentCache(c, rec)
+		}
+	}
+}
+
+// publish publishes every unit's run totals: the profilers' accesses and
+// the caches' and probes' evictions. It walks all P units, so the engines
+// call it at barriers only, never per block.
+func (u *units) publish() {
+	for _, p := range u.profiled {
+		p.Publish()
+	}
+	for _, c := range u.caches {
+		cache.PublishCache(c)
+	}
+	for _, list := range u.probes {
+		for _, c := range list {
+			cache.PublishCache(c)
 		}
 	}
 }
@@ -344,7 +401,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, shift: lineShift(cfg.LineSize), measuring: cfg.WarmupEpochs == 0}
+	s := &System{cfg: cfg, shift: uint(bits.TrailingZeros32(cfg.LineSize)), measuring: cfg.WarmupEpochs == 0}
 	s.units, err = buildPEs(cfg, s.measuring)
 	if err != nil {
 		return nil, err
@@ -386,7 +443,8 @@ func (s *System) Ref(r trace.Ref) {
 // invalidation delivery — before the next begins: deferring directory work
 // to the end of a block would reorder invalidations relative to accesses
 // and change every coherence statistic. The win is the hoisted dispatch
-// and per-call prologue, not a changed algorithm.
+// and per-call prologue, not a changed algorithm. The end of a block is
+// where run-scope counters are published (see Instrument).
 func (s *System) Refs(block []trace.Ref) {
 	for i := range block {
 		if block[i].Size == 0 {
@@ -394,6 +452,7 @@ func (s *System) Refs(block []trace.Ref) {
 		}
 		s.refOne(block[i])
 	}
+	s.publish(false)
 }
 
 func (s *System) refOne(r trace.Ref) {
@@ -411,10 +470,8 @@ func (s *System) refOne(r trace.Ref) {
 		if miss && s.measuring {
 			if s.Home(addr) == r.PE {
 				s.stats.LocalMisses++
-				s.mLocal.Inc()
 			} else {
 				s.stats.RemoteMisses++
-				s.mRemote.Inc()
 			}
 		}
 		if line == last {
@@ -424,18 +481,20 @@ func (s *System) refOne(r trace.Ref) {
 }
 
 // BeginEpoch advances the epoch counter and flips measurement on once the
-// warm-up epochs have passed.
+// warm-up epochs have passed. The flip publishes every run-scope counter
+// before it resets the statistics behind them.
 func (s *System) BeginEpoch(n int) {
 	s.epoch = n
 	on := n >= s.cfg.WarmupEpochs
 	if on == s.measuring {
 		return
 	}
+	s.publish(true)
 	s.measuring = on
 	s.units.setMeasuring(on)
 	if on {
 		s.dir.ResetStats()
-		s.stats = Stats{}
+		s.stats, s.pub = Stats{}, Stats{}
 	}
 }
 
@@ -483,16 +542,12 @@ func (s *System) PEs() int { return s.cfg.PEs }
 // LineSize reports the configured line size.
 func (s *System) LineSize() uint32 { return s.cfg.LineSize }
 
-// Close satisfies Machine; the serial engine owns no goroutines, so it is
-// a no-op that never fails.
-func (s *System) Close() error { return nil }
-
-func lineShift(lineSize uint32) uint {
-	s := uint(0)
-	for l := lineSize; l > 1; l >>= 1 {
-		s++
-	}
-	return s
+// Close satisfies Machine. The serial engine owns no goroutines, so Close
+// never fails; it is the end-of-run barrier that publishes every
+// run-scope counter, and it may be called more than once.
+func (s *System) Close() error {
+	s.publish(true)
+	return nil
 }
 
 var _ trace.EpochConsumer = (*System)(nil)

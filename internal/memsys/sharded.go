@@ -3,6 +3,7 @@ package memsys
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -145,14 +146,15 @@ type dirWorker struct {
 }
 
 // cacheWorker owns the caches, profilers and probes of the PEs mapped to
-// it (pe % V) and accumulates their measured miss classification.
+// it (pe % V) and accumulates their measured miss classification in
+// stats, of which pub is the part already published.
 type cacheWorker struct {
 	id      int
 	ring    *spsc.Ring[*opBlock]
 	scratch []shardEvent
-	local   uint64
-	remote  uint64
-	_       [6]uint64 // keep workers off each other's cache line
+	stats   Stats
+	pub     Stats
+	_       [4]uint64 // keep workers off each other's cache line
 }
 
 // Sharded is the region-partitioned engine: the driver (the goroutine
@@ -208,7 +210,7 @@ type Sharded struct {
 func newSharded(cfg Config) (*Sharded, error) {
 	s := &Sharded{
 		cfg:       cfg,
-		shift:     lineShift(cfg.LineSize),
+		shift:     uint(bits.TrailingZeros32(cfg.LineSize)),
 		measuring: cfg.WarmupEpochs == 0,
 	}
 	bg := context.Background()
@@ -302,7 +304,8 @@ func (s *Sharded) Err() error {
 func (s *Sharded) injectCtx() context.Context { return *s.ictx.Load() }
 
 // runDir is phase one: apply this shard's transactions in block order,
-// capturing invalidations into the block's mailbox, then signal dirDone.
+// capturing invalidations into the block's mailbox, then signal dirDone
+// and publish the shard's counters.
 func (s *Sharded) runDir(w *dirWorker) {
 	defer s.wg.Done()
 	batch := make([]*opBlock, w.ring.Cap())
@@ -323,6 +326,7 @@ func (s *Sharded) runDir(w *dirWorker) {
 			s.mInvals.Add(uint64(len(blk.invals[w.id])))
 			w.cur = nil
 			blk.dirDone.Done()
+			shard.Publish()
 			blk.release(s)
 		}
 		if !open {
@@ -333,7 +337,8 @@ func (s *Sharded) runDir(w *dirWorker) {
 
 // runCache is phase two: once a block's directory phase is complete, merge
 // this worker's accesses with the invalidations addressed to its PEs in
-// (seq, pe) order and apply them to the units it owns.
+// (seq, pe) order, apply them to the units it owns, and publish the
+// worker's miss classification.
 func (s *Sharded) runCache(w *cacheWorker) {
 	defer s.wg.Done()
 	batch := make([]*opBlock, w.ring.Cap())
@@ -365,15 +370,14 @@ func (s *Sharded) runCache(w *cacheWorker) {
 				miss := s.units.access(int(e.pe), e.addr, e.kind == evRead)
 				if miss && blk.measuring {
 					if homeOf(&s.cfg, s.shift, e.addr) == int(e.pe) {
-						w.local++
-						s.mLocal.Inc()
+						w.stats.LocalMisses++
 					} else {
-						w.remote++
-						s.mRemote.Inc()
+						w.stats.RemoteMisses++
 					}
 				}
 			}
 			w.scratch = ev[:0]
+			w.stats.publish(&w.pub, s.mLocal, s.mRemote)
 			blk.release(s)
 		}
 		if !open {
@@ -466,7 +470,10 @@ func (s *Sharded) publish(done chan struct{}) {
 // every worker has fully processed it. On return the pipeline is empty and
 // every worker-side write is visible to the driver (the barrier channel
 // close is the happens-before edge), so statistics reads and epoch flips
-// see a consistent quiescent machine.
+// see a consistent quiescent machine. The workers have published their
+// counters by then; drain publishes the units' — the profilers' accesses
+// and the caches' and probes' evictions — which no block-end publish
+// walks.
 func (s *Sharded) drain() {
 	if s.closed {
 		return
@@ -476,6 +483,7 @@ func (s *Sharded) drain() {
 	done := make(chan struct{})
 	s.publish(done)
 	<-done
+	s.units.publish()
 }
 
 // Ref consumes one reference.
@@ -527,7 +535,8 @@ func (s *Sharded) BeginEpoch(n int) {
 	if on {
 		s.dir.ResetStats()
 		for _, cw := range s.cacheWorkers {
-			cw.local, cw.remote = 0, 0
+			cw.stats.publish(&cw.pub, s.mLocal, s.mRemote)
+			cw.stats, cw.pub = Stats{}, Stats{}
 		}
 	}
 }
@@ -536,6 +545,13 @@ func (s *Sharded) BeginEpoch(n int) {
 // directory shards, and every cache, profiler and probe. It also rebinds the
 // failpoint-injection context so fault-trigger counters land on rec. Call
 // it before feeding references, from the driver goroutine.
+//
+// As on the serial engine, nothing on the per-line path touches a
+// counter. Each directory shard's worker publishes the shard's
+// transactions, and each cache worker its miss classification, at the end
+// of every block; the profilers' accesses and the caches' and probes'
+// evictions are published at every drain barrier (the warm-up flip, a
+// statistics read, Close).
 func (s *Sharded) Instrument(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -605,8 +621,8 @@ func (s *Sharded) Stats() Stats {
 	s.drain()
 	var total Stats
 	for _, cw := range s.cacheWorkers {
-		total.LocalMisses += cw.local
-		total.RemoteMisses += cw.remote
+		total.LocalMisses += cw.stats.LocalMisses
+		total.RemoteMisses += cw.stats.RemoteMisses
 	}
 	return total
 }
