@@ -8,7 +8,8 @@ BENCH_OUT ?= BENCH_PR18.json
 # bit-identical to the legacy per-Ref path, per-PE cache probes to
 # dedicated per-configuration machines, the paged directory to a naive
 # map-of-sets model, the flat caches to the map-based caches they
-# replaced, and the profiler's compaction to its pinned counts
+# replaced, the profiler's compaction to its pinned counts, and the
+# largest experiment's report to itself at GOMAXPROCS=1 and 2
 # (short-mode equivalence run),
 # the v1 HTTP server must boot, answer /v1/experiments with valid
 # JSON, and drain (serve-smoke), a parameter-lattice sweep must run
@@ -44,26 +45,25 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Block/fan-out delivery must produce the same statistics — and, with a
-# Recorder attached, the same per-stage metric counters, on both engines
-# and with profilers, LRU and 4-way caches — as per-Ref delivery for every
-# kernel (see internal/core/equivalence_test.go), and a machine's
-# published counters must follow the publication contract (per block,
-# then exact at Close).
-# The sharded fanout is held to Tee on every kernel (including under
-# GOMAXPROCS=1 and 2), the region-sharded machine engine to the serial
-# memory system (bit-identical statistics, run-to-run determinism, and
-# byte-identical sharing1024 reports at GOMAXPROCS=1 and 2), and cache
-# probes on one machine to a dedicated machine per cache configuration
-# on both engines. The paged coherence directory is held to a naive
+# Recorder attached, the same per-stage metric counters, with profilers,
+# LRU and 4-way caches — as per-Ref delivery for every kernel (see
+# internal/core/equivalence_test.go), and a machine's published counters
+# must follow the publication contract (per block, then exact at Close).
+# The fanout's worker pool is held to Tee on every kernel (including
+# under GOMAXPROCS=1 and 2), the sharing1024 report (P=1024, the largest
+# machine) to byte-identical JSON at GOMAXPROCS=1 and 2, and cache probes
+# on one machine to a dedicated machine per cache configuration. The
+# paged coherence directory is held to a naive
 # map-of-sets model (statistics, sharers, dirty bits and every PE's exact
 # invalidation sequence, at P = 4, 64 and 1024, on both sides of the line
 # table's dense bound), the flat LRU and set-associative caches to the
 # map-based caches they replaced (a seeded stress test of reads, writes,
-# invalidations and a statistics reset, compared after every operation),
+# invalidations and a statistics reset, compared after every operation;
+# a one-set SetAssoc is also held to the LRU of its capacity),
 # and the stack profiler's compaction to the counts of its known phantom
 # slot, which the golden report hashes depend on.
 equivalence:
-	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedMachineMatchesSerial|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
+	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
 	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot|TestFlatCachesMatchOracles' ./internal/coherence/ ./internal/cache/
 	$(GO) test -short -run 'TestPublicationContract' ./internal/memsys/
 
@@ -130,7 +130,7 @@ fuzz:
 # swing several percent run to run; compare medians, not single samples.
 bench:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
+		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
 		-benchmem -benchtime 10x -count 3 -json . ./internal/cluster/ > $(BENCH_OUT)
 	@grep -o '"Output":"[^"]*ns/op[^"]*"' $(BENCH_OUT) | head -40
 
@@ -138,5 +138,5 @@ bench:
 # compiles and runs end to end without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkDirectoryShardScaling|BenchmarkMemsysSharded|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
+		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
 		-benchtime 1x -count 1 . ./internal/cluster/ > /dev/null

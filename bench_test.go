@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -19,9 +18,7 @@ import (
 	"wsstudy/internal/apps/lu"
 	"wsstudy/internal/apps/volrend"
 	"wsstudy/internal/cache"
-	"wsstudy/internal/coherence"
 	"wsstudy/internal/core"
-	"wsstudy/internal/memsys"
 	"wsstudy/internal/trace"
 )
 
@@ -250,80 +247,8 @@ func BenchmarkFanout(b *testing.B) {
 	})
 }
 
-// Sharded-machine benchmarks: the PR7 engine. BenchmarkDirectoryShardScaling
-// isolates the directory layer — per-shard MSI state application with the
-// line stream pre-partitioned by the region hash, one goroutine per shard —
-// and sweeps the shard count so the archived curve shows what shard
-// concurrency buys once delivery cost is out of the picture.
-// BenchmarkMemsysSharded is the end-to-end machine at the paper's P=1024:
-// a captured CG trace replayed through the serial engine and through the
-// sharded engine at increasing shard counts (results are bit-identical by
-// the equivalence suite; this measures only wall-clock).
-
-func BenchmarkDirectoryShardScaling(b *testing.B) {
-	const pes = 256
-	type dirOp struct {
-		line  uint64
-		pe    int
-		write bool
-	}
-	rng := rand.New(rand.NewSource(3))
-	ops := make([]dirOp, 400_000)
-	for i := range ops {
-		// A hot sharing set plus a cold stream, with a 1:4 write mix, so
-		// invalidation broadcasts and sharer-set churn are part of the cost.
-		line := uint64(rng.Intn(1 << 14))
-		if rng.Intn(4) == 0 {
-			line = uint64(rng.Intn(256))
-		}
-		ops[i] = dirOp{line: line, pe: rng.Intn(pes), write: rng.Intn(4) == 0}
-	}
-	workers := []int{1}
-	for w := 2; w <= runtime.NumCPU(); w *= 2 {
-		workers = append(workers, w)
-	}
-	if len(workers) == 1 {
-		workers = append(workers, 2) // oversubscription cost, measured honestly
-	}
-	for _, w := range workers {
-		b.Run(fmt.Sprintf("shards=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sd, err := coherence.NewShardedDirectory(pes, 8, w, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				parts := make([][]dirOp, w)
-				for _, op := range ops {
-					s := sd.ShardOf(op.line)
-					parts[s] = append(parts[s], op)
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				for s := 0; s < w; s++ {
-					wg.Add(1)
-					go func(s int) {
-						defer wg.Done()
-						shard := sd.Shard(s)
-						for _, op := range parts[s] {
-							if op.write {
-								shard.WriteLine(op.pe, op.line)
-							} else {
-								shard.ReadLine(op.pe, op.line)
-							}
-						}
-					}(s)
-				}
-				wg.Wait()
-			}
-			b.ReportMetric(float64(len(ops)), "ops/op")
-		})
-	}
-}
-
-// cgTrace1024 records one CG solve partitioned across 1024 processors —
-// the paper-scale reference stream the sharded machine exists for.
+// cgTrace1024 records one CG solve partitioned across 1024 processors,
+// the paper-scale reference stream.
 var cgTraceCache struct {
 	once sync.Once
 	refs []trace.Ref
@@ -352,42 +277,6 @@ func cgTrace1024(b *testing.B) []trace.Ref {
 		b.Fatal(cgTraceCache.err)
 	}
 	return cgTraceCache.refs
-}
-
-func BenchmarkMemsysSharded(b *testing.B) {
-	refs := cgTrace1024(b)
-	blocks := trace.Blocks(refs, trace.DefaultBlockSize)
-	shardCounts := []int{0, 1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		shardCounts = append(shardCounts, n)
-	}
-	for _, w := range shardCounts {
-		name := fmt.Sprintf("shards=%d", w)
-		if w == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m, err := memsys.Open(memsys.Config{
-					PEs: 1024, LineSize: 8, Dist: memsys.Interleaved,
-					CacheCapacity: 512, Assoc: 1, Shards: w,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, blk := range blocks {
-					m.Refs(blk)
-				}
-				if err := m.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(refs)), "refs/op")
-		})
-	}
 }
 
 // BenchmarkSampledProfiler is the sampling error/throughput harness:

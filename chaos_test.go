@@ -24,7 +24,7 @@ import (
 
 // The chaos suite: randomized, seeded fault schedules over the full
 // stack (store persistence, compute retry, experiment execution, the
-// sharded machine, sweeps), checked against three invariants:
+// simulated machine, sweeps), checked against three invariants:
 //
 //  1. Termination — every Get returns, fault or not.
 //  2. Integrity — a Get that claims success returns bytes identical to
@@ -43,8 +43,8 @@ var chaosSeeds = []int64{1, 2, 3, 4, 5}
 
 // chaosExperiments builds deterministic synthetic experiments that
 // between them traverse every chaos seam: pure model computation, a
-// kernel streaming references in blocks and epochs, and the sharded and
-// sampled machines.
+// kernel streaming references in blocks and epochs, and a concrete-cache
+// and a sampled machine.
 func chaosExperiments() []Experiment {
 	model := func(id string) Experiment {
 		return Experiment{
@@ -85,19 +85,18 @@ func chaosExperiments() []Experiment {
 			return r, nil
 		},
 	}
-	// machine drives a deterministic reference stream through the
-	// region-sharded memsys engine, so the shard-apply, shard-publish and
-	// barrier failpoints have a live pipeline to land in. Injected errors
-	// surface through Close and fail the run (nothing cached); injected
-	// delays must leave the statistics bit-identical to the fault-free
-	// baseline — the sharded engine's exactness guarantee under chaos.
+	// machine drives a deterministic reference stream, with a warm-up
+	// flip, through a machine of direct-mapped caches, so the seams that
+	// wrap every experiment (execution, retry, store) fire around a run
+	// with directory and cache state; its statistics must come back
+	// bit-identical to the fault-free baseline.
 	machine := Experiment{
 		ID:    "chaos-machine",
-		Title: "chaos sharded machine",
+		Title: "chaos machine",
 		Run: func(ctx context.Context, opt Options) (*Report, error) {
 			m, err := memsys.Open(memsys.Config{
 				PEs: 8, LineSize: 8, CacheCapacity: 64, Assoc: 1,
-				WarmupEpochs: 1, Shards: 3,
+				WarmupEpochs: 1,
 			})
 			if err != nil {
 				return nil, err
@@ -125,7 +124,7 @@ func chaosExperiments() []Experiment {
 				return nil, err
 			}
 			st, ds := m.Stats(), m.DirectoryStats()
-			r := &Report{Title: "chaos sharded machine"}
+			r := &Report{Title: "chaos machine"}
 			r.Tables = append(r.Tables, Table{
 				Title:  "machine",
 				Header: []string{"stat", "value"},
@@ -150,7 +149,7 @@ func chaosExperiments() []Experiment {
 		Run: func(ctx context.Context, opt Options) (*Report, error) {
 			m, err := memsys.Open(memsys.Config{
 				PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1,
-				SampleRate: 16, Shards: 2,
+				SampleRate: 16,
 			})
 			if err != nil {
 				return nil, err
@@ -234,9 +233,6 @@ func chaosPlan(t *testing.T, rng *rand.Rand) []string {
 		{"store.disk.save", []fault.Mode{fault.ModeError}},
 		{"store.compute", []fault.Mode{fault.ModeError}},
 		{"core.execute", []fault.Mode{fault.ModeError, fault.ModePanic, fault.ModeDelay}},
-		{"coherence.shard.apply", []fault.Mode{fault.ModeError, fault.ModeDelay}},
-		{"memsys.shard.publish", []fault.Mode{fault.ModeError, fault.ModeDelay}},
-		{"memsys.barrier", []fault.Mode{fault.ModeError, fault.ModeDelay}},
 		{"sweep.cell.compute", []fault.Mode{fault.ModeError, fault.ModeDelay}},
 		{"cache.sample.select", []fault.Mode{fault.ModeError}},
 	}

@@ -19,9 +19,9 @@ const (
 // The per-line counts behind cache.profiler.accesses and cache.evictions
 // are plain run totals, not atomic adds: Publish adds whatever was counted
 // since the last Publish to the run-scope counter. memsys publishes each
-// profiler once per block and each cache at its barriers (the warm-up
-// flip, a statistics read on the sharded engine, and Close), so a live
-// read of those counters lags the simulation by at most that much.
+// profiler once per block and each cache at the warm-up flip and at
+// Close, so a live read of those counters lags the simulation by at most
+// that much.
 
 // Instrument attaches run-scope counters from rec: accesses processed and
 // histogram queries answered. A nil rec leaves the profiler uninstrumented

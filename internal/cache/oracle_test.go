@@ -11,7 +11,9 @@ import (
 // the LRU, a slice per set for the set-associative cache, and two history
 // maps each. Their simulation code is kept verbatim (types renamed, the
 // unused constructors and accessors dropped) as the oracles
-// TestFlatCachesMatchOracles holds the flat caches to.
+// TestFlatCachesMatchOracles holds the flat caches to. One rule was added
+// since: the set-associative oracle counts writebacks the way the LRU
+// always has, through a set of dirty resident lines.
 
 // oracleLRU is an exact fully associative cache with least-recently-used
 // replacement, the measurement instrument of the paper's Section 2.2.
@@ -197,7 +199,8 @@ func (c *oracleLRU) Instrument(rec *obs.Recorder) {
 
 // oracleSetAssoc is a set-associative cache with LRU replacement within
 // each set. A re-miss is a capacity miss when the cache is full, and a
-// conflict miss otherwise.
+// conflict miss otherwise. A write marks its line dirty, and evicting or
+// invalidating a dirty line counts one writeback.
 type oracleSetAssoc struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
@@ -208,6 +211,7 @@ type oracleSetAssoc struct {
 	occupied    int
 	seen        map[uint64]struct{}
 	invalidated map[uint64]struct{}
+	dirty       map[uint64]struct{} // resident lines written since filled
 
 	stats Stats
 
@@ -249,7 +253,17 @@ func newOracleSetAssoc(capacityLines, assoc int, lineSize uint32) (*oracleSetAss
 		ways:        ways,
 		seen:        make(map[uint64]struct{}),
 		invalidated: make(map[uint64]struct{}),
+		dirty:       make(map[uint64]struct{}),
 	}, nil
+}
+
+// clean drops line from the dirty set, counting a writeback if it was
+// there.
+func (c *oracleSetAssoc) clean(line uint64) {
+	if _, ok := c.dirty[line]; ok {
+		c.stats.Writebacks++
+		delete(c.dirty, line)
+	}
 }
 
 func (c *oracleSetAssoc) setIndex(line uint64) int {
@@ -258,7 +272,11 @@ func (c *oracleSetAssoc) setIndex(line uint64) int {
 
 // Access touches the line containing addr and returns the outcome.
 func (c *oracleSetAssoc) Access(addr uint64, read bool) AccessResult {
-	res := c.touch(addr >> c.shift)
+	line := addr >> c.shift
+	res := c.touch(line)
+	if !read {
+		c.dirty[line] = struct{}{}
+	}
 	c.stats.Record(read, res)
 	return res
 }
@@ -298,6 +316,7 @@ func (c *oracleSetAssoc) touch(line uint64) AccessResult {
 		c.occupied++
 	} else {
 		c.mEvictions.Inc()
+		c.clean(set[len(set)-1].line)
 	}
 	copy(set[1:], set[:len(set)-1])
 	set[0] = oracleWay{line: line, valid: true}
@@ -313,6 +332,7 @@ func (c *oracleSetAssoc) Invalidate(addr uint64) {
 	set := c.ways[si]
 	for i := range set {
 		if set[i].valid && set[i].line == line {
+			c.clean(line)
 			copy(set[i:], set[i+1:])
 			set = set[:len(set)-1]
 			c.ways[si] = set

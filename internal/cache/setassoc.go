@@ -13,6 +13,9 @@ import (
 // miss when every way of the cache is occupied, and a conflict miss
 // otherwise: its set filled while the cache still had room.
 //
+// Writebacks follow LRU's rule: a write marks its line dirty, and evicting
+// or invalidating a dirty line counts one writeback.
+//
 // All ways live in one flat slice, so a hit scans and reorders plain
 // memory; the history of seen and invalidated lines is a map, read only on
 // a miss or an invalidation.
@@ -24,8 +27,11 @@ type SetAssoc struct {
 
 	// ways holds set s in ways[s*assoc:(s+1)*assoc], most recent first.
 	// The set's valid ways are the prefix of length fill[s], so every
-	// uint64 is a valid line number and no tag value is reserved.
+	// uint64 is a valid line number and no tag value is reserved. dirty
+	// is laid out like ways and moves with it: dirty[k] reports whether
+	// the line in ways[k] was written since it was filled.
 	ways     []uint64
+	dirty    []bool
 	fill     []int32
 	occupied int
 
@@ -62,6 +68,7 @@ func NewSetAssoc(capacityLines, assoc int, lineSize uint32) (*SetAssoc, error) {
 		sets:     sets,
 		assoc:    assoc,
 		ways:     make([]uint64, capacityLines),
+		dirty:    make([]bool, capacityLines),
 		fill:     make([]int32, sets),
 		history:  make(history),
 	}, nil
@@ -102,31 +109,41 @@ func (c *SetAssoc) LineSize() uint32 { return c.lineSize }
 // Len reports the number of resident lines.
 func (c *SetAssoc) Len() int { return c.occupied }
 
-// set returns line's set index and the set's valid ways, most recent
-// first.
-func (c *SetAssoc) set(line uint64) (int, []uint64) {
-	si := int(line & uint64(c.sets-1))
-	base := si * c.assoc
-	return si, c.ways[base : base+int(c.fill[si])]
+// set returns line's set index, the position of its first way, and the
+// set's valid ways, most recent first; their dirty flags start at the same
+// position.
+func (c *SetAssoc) set(line uint64) (si, base int, ways []uint64) {
+	si = int(line & uint64(c.sets-1))
+	base = si * c.assoc
+	return si, base, c.ways[base : base+int(c.fill[si])]
 }
 
 // Access touches the line containing addr and returns the outcome.
+// Writes mark the line dirty; its eventual eviction or invalidation
+// counts as a writeback.
 func (c *SetAssoc) Access(addr uint64, read bool) AccessResult {
-	res := c.touch(addr >> c.shift)
+	res := c.touch(addr>>c.shift, !read)
 	c.stats.Record(read, res)
 	return res
 }
 
-func (c *SetAssoc) touch(line uint64) AccessResult {
-	si, set := c.set(line)
+func (c *SetAssoc) touch(line uint64, write bool) AccessResult {
+	si, base, set := c.set(line)
 	for i, l := range set {
 		if l == line {
+			// A read of the most recent way changes nothing.
+			if i == 0 && !write {
+				return Hit
+			}
 			// Move to front (LRU position 0). Sets are a few ways wide,
 			// where a loop beats a call to memmove.
+			dirty := c.dirty[base : base+len(set)]
+			d := dirty[i] || write
 			for ; i > 0; i-- {
 				set[i] = set[i-1]
+				dirty[i] = dirty[i-1]
 			}
-			set[0] = line
+			set[0], dirty[0] = line, d
 			return Hit
 		}
 	}
@@ -135,28 +152,38 @@ func (c *SetAssoc) touch(line uint64) AccessResult {
 		res = ConflictMiss
 	}
 	// Insert at LRU position 0, evicting the last way if the set is full.
+	dirty := c.dirty[base : base+len(set)]
 	if len(set) < c.assoc {
 		c.fill[si]++
 		c.occupied++
-		set = set[:len(set)+1]
+		set, dirty = set[:len(set)+1], dirty[:len(set)+1]
 	} else {
 		c.evictions++
+		if dirty[len(dirty)-1] {
+			c.stats.Writebacks++
+		}
 	}
 	for i := len(set) - 1; i > 0; i-- {
 		set[i] = set[i-1]
+		dirty[i] = dirty[i-1]
 	}
-	set[0] = line
+	set[0], dirty[0] = line, write
 	return res
 }
 
-// Invalidate removes the line containing addr if resident and marks its next
-// access as a coherence miss.
+// Invalidate removes the line containing addr if resident, counting a
+// writeback if it is dirty, and marks its next access as a coherence miss.
 func (c *SetAssoc) Invalidate(addr uint64) {
 	line := addr >> c.shift
-	si, set := c.set(line)
+	si, base, set := c.set(line)
 	for i, l := range set {
 		if l == line {
+			dirty := c.dirty[base : base+len(set)]
+			if dirty[i] {
+				c.stats.Writebacks++
+			}
 			copy(set[i:], set[i+1:])
+			copy(dirty[i:], dirty[i+1:])
 			c.fill[si]--
 			c.occupied--
 			break
@@ -168,7 +195,7 @@ func (c *SetAssoc) Invalidate(addr uint64) {
 // Contains reports whether the line holding addr is resident.
 func (c *SetAssoc) Contains(addr uint64) bool {
 	line := addr >> c.shift
-	_, set := c.set(line)
+	_, _, set := c.set(line)
 	for _, l := range set {
 		if l == line {
 			return true

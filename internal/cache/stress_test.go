@@ -49,10 +49,30 @@ func newStressPair(t *testing.T, lines, assoc int, lineSize uint32) stressPair {
 	return p
 }
 
+// lruView shows a one-set SetAssoc as the fully associative LRU cache it
+// is. The two differ only in a name: once an invalidation has freed a
+// way, SetAssoc calls the re-miss of an evicted line a conflict miss,
+// because its cache is not full, where LRU calls it a capacity miss.
+type lruView struct{ *SetAssoc }
+
+func (v lruView) Access(addr uint64, read bool) AccessResult {
+	if res := v.SetAssoc.Access(addr, read); res != ConflictMiss {
+		return res
+	}
+	return CapacityMiss
+}
+
+func (v lruView) Stats() Stats {
+	s := v.SetAssoc.Stats()
+	s.Capacity, s.Conflict = s.Capacity+s.Conflict, 0
+	return s
+}
+
 // check compares everything observable after one operation on addr.
 func (p stressPair) check(t *testing.T, op int, what string, addr uint64) {
 	t.Helper()
 	PublishCache(p.flat)
+	PublishCache(p.oracle) // a no-op for the map-based oracles
 	if got, want := p.flat.Stats(), p.oracle.Stats(); got != want {
 		t.Fatalf("op %d (%s %#x): stats\nflat:   %+v\noracle: %+v", op, what, addr, got, want)
 	}
@@ -120,7 +140,9 @@ func stress(t *testing.T, p stressPair, seed int64, ops int, base, span uint64) 
 // and eviction total after every operation. Address ranges of 64 B, 1 KB
 // and 1 MB of 8-byte lines keep the caches respectively oversized, near
 // their capacity and thrashing; a 1-byte-line case runs at the top of the
-// address space, where line 2^64−1 must be an ordinary line.
+// address space, where line 2^64−1 must be an ordinary line. A one-set
+// SetAssoc is also held to the flat LRU of the same capacity, so the two
+// caches count writebacks by one rule.
 func TestFlatCachesMatchOracles(t *testing.T) {
 	geometries := []struct {
 		name         string
@@ -168,6 +190,17 @@ func TestFlatCachesMatchOracles(t *testing.T) {
 			if !p.flat.Contains(math.MaxUint64) {
 				t.Fatal("line 2^64-1 is not resident after an access")
 			}
+		})
+	}
+	for i, span := range []uint64{64, 1 << 10, 1 << 20} {
+		t.Run(fmt.Sprintf("one-set-vs-lru-8/%dB", span), func(t *testing.T) {
+			p := stressPair{
+				flat: lruView{MustSetAssoc(8, 8, 8)}, oracle: MustLRU(8, 8),
+				flatRec: obs.New(), oracleRec: obs.New(),
+			}
+			p.flat.Instrument(p.flatRec)
+			p.oracle.Instrument(p.oracleRec)
+			tally(stress(t, p, int64(200+i), ops, 0, span))
 		})
 	}
 	for name, n := range map[string]uint64{

@@ -26,10 +26,10 @@ const canonVersion = 2
 // excluded: a deadline bounds how long a run may take, but experiments
 // are deterministic, so it cannot change the content of a report that
 // completes — and excluding it lets a request with a 30s budget reuse a
-// result computed under a 5m one. The simulated machine's engine is not
-// an option at all: openMachine picks it from the processor count and
-// GOMAXPROCS, and the engines are bit-identical (the equivalence suite
-// enforces it), so a result computed on one host is valid on any other.
+// result computed under a 5m one. Nothing about the host reaches a
+// report either — TestShardedDeterminism holds one byte-identical at
+// GOMAXPROCS=1 and 2 — so a result computed on one host is valid on any
+// other.
 func (o Options) Canonical() string {
 	keys := AxisFields()
 	var sb strings.Builder

@@ -5,7 +5,6 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -267,10 +266,11 @@ func withGOMAXPROCS(n int, fn func()) {
 	fn()
 }
 
-// TestFanoutMatchesTee proves the sharded engine equivalent to the serial
-// Tee for every kernel: at the host's GOMAXPROCS, at GOMAXPROCS=2 (so the
-// two consumers land on two shard workers even on a 1-core host), and —
-// because the rings must block rather than spin — at GOMAXPROCS=1.
+// TestFanoutMatchesTee proves the Fanout's worker pool equivalent to the
+// serial Tee for every kernel: at the host's GOMAXPROCS, at GOMAXPROCS=2
+// (so the two consumers land on two shard workers even on a 1-core
+// host), and — because the rings must block rather than spin — at
+// GOMAXPROCS=1.
 func TestFanoutMatchesTee(t *testing.T) {
 	// Sequential subtests first: they pin GOMAXPROCS, and parallel
 	// subtests only start after the sequential ones (and the restore)
@@ -296,90 +296,13 @@ func TestFanoutMatchesTee(t *testing.T) {
 	}
 }
 
-// runSharded runs a kernel into a machine opened with the given shard
-// count and closes it — draining the shard pipeline — before snapshots.
-func runSharded(t *testing.T, k kernelCase, cfg memsys.Config, shards int) memsys.Machine {
-	t.Helper()
-	cfg.Shards = shards
-	m, err := memsys.Open(cfg)
-	if err != nil {
-		t.Fatalf("open (shards=%d): %v", shards, err)
-	}
-	k.run(t, m)
-	if err := m.Close(); err != nil {
-		t.Fatalf("close (shards=%d): %v", shards, err)
-	}
-	return m
-}
-
-// shardedVsSerial runs one kernel through the serial engine and through the
-// region-sharded engine at the given shard count, under both the stack
-// profiler and concrete direct-mapped caches, and demands bit-identical
-// statistics — the machine-level face of the sharding invariant.
-func shardedVsSerial(t *testing.T, k kernelCase, shards int) {
-	t.Helper()
-	caps := []int{8, 64, 512, 4096}
-	profCfg := memsys.Config{
-		PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: k.warm,
-	}
-	serial := profSnap(runPath(t, k, profCfg, mkNative), 1, caps)
-	shard := profSnap(runSharded(t, k, profCfg, shards), 1, caps)
-	if !reflect.DeepEqual(shard, serial) {
-		t.Errorf("profiler: sharded machine (W=%d) diverged from serial\nsharded: %+v\nserial:  %+v", shards, shard, serial)
-	}
-
-	dmCfg := memsys.Config{
-		PEs: 4, LineSize: 8, CacheCapacity: 256, Assoc: 1, WarmupEpochs: k.warm,
-	}
-	serialDM := cacheSnap(runPath(t, k, dmCfg, mkNative))
-	shardDM := cacheSnap(runSharded(t, k, dmCfg, shards))
-	if !reflect.DeepEqual(shardDM, serialDM) {
-		t.Errorf("direct-mapped: sharded machine (W=%d) diverged from serial\nsharded: %+v\nserial:  %+v", shards, shardDM, serialDM)
-	}
-}
-
-// TestShardedMachineMatchesSerial proves the region-sharded memsys engine
-// bit-identical to the serial System for every kernel, at one shard (the
-// degenerate pipeline) and at three (so cross-shard invalidation mailboxes
-// and the merge order are exercised), and — because the shard rings must
-// block rather than spin — under GOMAXPROCS=1 explicitly.
-func TestShardedMachineMatchesSerial(t *testing.T) {
-	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
-	// only start after the sequential ones (and the restore) finish.
-	t.Run("gomaxprocs=1", func(t *testing.T) {
-		withGOMAXPROCS(1, func() {
-			shardedVsSerial(t, equivalenceKernels()[3], 3) // barneshut: multi-epoch, order-sensitive
-		})
-	})
-	for _, k := range equivalenceKernels() {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			t.Parallel()
-			shardedVsSerial(t, k, 1)
-			shardedVsSerial(t, k, 3)
-		})
-	}
-}
-
-// TestShardedDeterminism runs the same kernel through the sharded engine
-// twice and demands identical snapshots — scheduling of the shard workers
-// must never leak into results — and then runs the sharing1024 experiment
-// end to end at GOMAXPROCS=1 (serial engine) and GOMAXPROCS=2 (sharded
-// engine) and demands byte-identical JSON reports, so the engine choice
-// can never leak into a report or a result key.
+// TestShardedDeterminism runs the quick sharing1024 experiment, the
+// largest machine in the registry (P=1024), end to end twice through
+// Execute — once with one Go processor, once with two — and demands
+// byte-identical JSON reports: the host's parallelism must never leak
+// into a report or a result key. (The name dates from when GOMAXPROCS=2
+// also switched sharing1024 to the since-deleted sharded engine.)
 func TestShardedDeterminism(t *testing.T) {
-	t.Run("kernel", func(t *testing.T) {
-		t.Parallel()
-		k := equivalenceKernels()[3] // barneshut
-		cfg := memsys.Config{
-			PEs: 4, LineSize: 8, CacheCapacity: 256, Assoc: 1, WarmupEpochs: k.warm,
-		}
-		a := cacheSnap(runSharded(t, k, cfg, 3))
-		b := cacheSnap(runSharded(t, k, cfg, 3))
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("sharded machine is nondeterministic\nfirst:  %+v\nsecond: %+v", a, b)
-		}
-	})
 	t.Run("sharing1024", func(t *testing.T) {
 		e, ok := Find("sharing1024")
 		if !ok {
@@ -398,46 +321,11 @@ func TestShardedDeterminism(t *testing.T) {
 			})
 			return buf.Bytes()
 		}
-		serial := render(1)
-		sharded := render(2)
-		if !bytes.Equal(serial, sharded) {
-			t.Errorf("sharing1024 reports differ between engines\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=2:\n%s", serial, sharded)
+		one, two := render(1), render(2)
+		if !bytes.Equal(one, two) {
+			t.Errorf("sharing1024 reports differ between runs\nGOMAXPROCS=1:\n%s\nGOMAXPROCS=2:\n%s", one, two)
 		}
 	})
-}
-
-// TestEngineChoice pins the rule openMachine uses to pick the simulated
-// machine's engine — sharded only for P ≥ 64 with a second processor —
-// and checks that openMachine applies it.
-func TestEngineChoice(t *testing.T) {
-	for _, tc := range []struct {
-		pes, procs int
-		sharded    bool
-	}{
-		{4, 1, false}, {4, 2, false},
-		{32, 2, false},
-		{64, 1, false}, {64, 2, true},
-		{1024, 1, false}, {1024, 2, true},
-	} {
-		if got := engineShards(tc.pes, tc.procs) > 0; got != tc.sharded {
-			t.Errorf("P=%d GOMAXPROCS=%d: sharded = %v, want %v", tc.pes, tc.procs, got, tc.sharded)
-		}
-	}
-	for _, pes := range []int{4, 64} {
-		m, err := openMachine(context.Background(), Options{}, memsys.Config{
-			PEs: pes, LineSize: 8, CacheCapacity: 64, ProfilePE: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sharded := m.(*memsys.Sharded)
-		if want := engineShards(pes, runtime.GOMAXPROCS(0)) > 0; sharded != want {
-			t.Errorf("openMachine P=%d: sharded = %v, want %v", pes, sharded, want)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // runPathMetrics is runPath with a fresh obs.Recorder attached: the system
@@ -464,32 +352,6 @@ func runPathMetrics(t *testing.T, k kernelCase, cfg memsys.Config, mk func(*mems
 	return rec.Snapshot()
 }
 
-// runShardedMetrics is runPathMetrics on the region-sharded engine with
-// the given shard count, fed natively. The snapshot drops the counters
-// only that engine keeps (memsys.shard.* and memsys.barriers), so what is
-// left compares name for name with the serial engine's.
-func runShardedMetrics(t *testing.T, k kernelCase, cfg memsys.Config, shards int) obs.Metrics {
-	t.Helper()
-	rec := obs.New()
-	cfg.Shards = shards
-	m, err := memsys.Open(cfg)
-	if err != nil {
-		t.Fatalf("open (shards=%d): %v", shards, err)
-	}
-	m.Instrument(rec)
-	k.run(t, trace.WithContext(obs.With(context.Background(), rec), m))
-	if err := m.Close(); err != nil {
-		t.Fatalf("close (shards=%d): %v", shards, err)
-	}
-	snap := rec.Snapshot()
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "memsys.shard.") || name == memsys.MetricBarriers {
-			delete(snap.Counters, name)
-		}
-	}
-	return snap
-}
-
 // metricsLegs are the machines TestMetricsEquivalence compares paths on:
 // a profiled PE, LRU caches and 4-way caches. want lists the counters
 // that must be nonzero on every kernel's leg, somewhere those that must
@@ -514,12 +376,11 @@ var metricsLegs = []struct {
 // and blocks through the guard, batcher deliveries, directory transactions
 // by MSI state change, profiler accesses and queries, cache evictions,
 // local/remote miss classification — must be bit-identical whether the
-// stream reaches the serial system per-Ref (legacy), in blocks (native),
-// or through a Fanout, or reaches the sharded engine at two shards. The
-// counting point for delivery metrics is the guard, upstream of where the
-// paths diverge; everything else is deterministic simulation state, which
-// the machines count in plain fields and publish at block ends, the
-// warm-up flip and Close. Every kernel runs every leg of metricsLegs.
+// stream reaches the system per-Ref (legacy), in blocks (native), or
+// through a Fanout. The counting point for delivery metrics is the
+// guard, upstream of where the paths diverge; everything else is
+// deterministic simulation state, which the machine counts in plain
+// fields and publishes at block ends, the warm-up flip and Close. Every kernel runs every leg of metricsLegs.
 func TestMetricsEquivalence(t *testing.T) {
 	var mu sync.Mutex
 	nonzero := map[string]bool{} // leg name + "/" + counter name
@@ -543,7 +404,6 @@ func TestMetricsEquivalence(t *testing.T) {
 				legacy := runPathMetrics(t, k, cfg, mkLegacy)
 				native := runPathMetrics(t, k, cfg, mkNative)
 				fanned := runPathMetrics(t, k, cfg, mkFanout(t))
-				sharded := runShardedMetrics(t, k, cfg, 2)
 				if len(legacy.Counters) == 0 {
 					t.Fatalf("%s: legacy path recorded no counters; instrumentation is dead", leg.name)
 				}
@@ -565,7 +425,7 @@ func TestMetricsEquivalence(t *testing.T) {
 				for _, p := range []struct {
 					name string
 					m    obs.Metrics
-				}{{"block", native}, {"fanout", fanned}, {"sharded", sharded}} {
+				}{{"block", native}, {"fanout", fanned}} {
 					if !reflect.DeepEqual(p.m.Counters, legacy.Counters) {
 						t.Errorf("%s: %s path counters diverged from per-Ref path\n%s: %v\nlegacy: %v",
 							leg.name, p.name, p.name, p.m.Counters, legacy.Counters)
@@ -606,13 +466,12 @@ func newProbeReference(t *testing.T, k kernelCase) probeReference {
 	return ref
 }
 
-// probesVsDedicated runs one kernel into a single machine with the given
-// shard count (0 is the serial engine) carrying one probe per probeWays
-// geometry on PE 1, plus PE 1's profiler unless probeOnly. Each probe
-// must match PE 1's cache in the dedicated machine of its geometry, the
-// directory must match every dedicated machine's, and the profiler must
-// match the profile-only machine's.
-func probesVsDedicated(t *testing.T, k kernelCase, ref probeReference, shards int, probeOnly bool) {
+// probesVsDedicated runs one kernel into a single machine carrying one
+// probe per probeWays geometry on PE 1, plus PE 1's profiler unless
+// probeOnly. Each probe must match PE 1's cache in the dedicated machine
+// of its geometry, the directory must match every dedicated machine's,
+// and the profiler must match the profile-only machine's.
+func probesVsDedicated(t *testing.T, k kernelCase, ref probeReference, probeOnly bool) {
 	t.Helper()
 	probes := make([]cache.Cache, len(probeWays))
 	for i, ways := range probeWays {
@@ -628,24 +487,27 @@ func probesVsDedicated(t *testing.T, k kernelCase, ref probeReference, shards in
 	if !probeOnly {
 		cfg.Profile, cfg.ProfilePE = true, 1
 	}
-	m := runSharded(t, k, cfg, shards)
+	m := runPath(t, k, cfg, mkNative)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for i, ways := range probeWays {
 		want := ref.dedicated[i]
 		if got := probes[i].Stats(); got != want.Caches[1] {
-			t.Errorf("W=%d probeOnly=%v: %d-way probe diverged from a dedicated machine\nprobe:     %+v\ndedicated: %+v",
-				shards, probeOnly, ways, got, want.Caches[1])
+			t.Errorf("probeOnly=%v: %d-way probe diverged from a dedicated machine\nprobe:     %+v\ndedicated: %+v",
+				probeOnly, ways, got, want.Caches[1])
 		}
 		if got := m.DirectoryStats(); got != want.Dir {
-			t.Errorf("W=%d probeOnly=%v: directory diverged from the %d-way dedicated machine\nprobed:    %+v\ndedicated: %+v",
-				shards, probeOnly, ways, got, want.Dir)
+			t.Errorf("probeOnly=%v: directory diverged from the %d-way dedicated machine\nprobed:    %+v\ndedicated: %+v",
+				probeOnly, ways, got, want.Dir)
 		}
 	}
 	if probeOnly {
 		return
 	}
 	if got := profSnap(m, 1, probeCaps); !reflect.DeepEqual(got, ref.prof) {
-		t.Errorf("W=%d: profiler beside probes diverged from a profile-only machine\nprobed:       %+v\nprofile-only: %+v",
-			shards, got, ref.prof)
+		t.Errorf("profiler beside probes diverged from a profile-only machine\nprobed:       %+v\nprofile-only: %+v",
+			got, ref.prof)
 	}
 }
 
@@ -653,10 +515,8 @@ func probesVsDedicated(t *testing.T, k kernelCase, ref probeReference, shards in
 // cache-comparison experiments rest on: caches attached as probes to one
 // machine see exactly what the same caches see as PE 1's cache in a
 // dedicated machine per configuration — the same accesses, the same
-// invalidations, the same warm-up reset — on the serial engine and on
-// the sharded engine at one and three shards, beside a profiler or alone
-// (a probe-only sharded machine still needs a cache worker), and under
-// GOMAXPROCS=1.
+// invalidations, the same warm-up reset — beside a profiler or alone,
+// and with the host held to one processor.
 func TestProbesMatchDedicatedMachines(t *testing.T) {
 	// Sequential subtest first: it pins GOMAXPROCS, and parallel subtests
 	// only start after the sequential ones (and the restore) finish.
@@ -664,8 +524,8 @@ func TestProbesMatchDedicatedMachines(t *testing.T) {
 		withGOMAXPROCS(1, func() {
 			k := equivalenceKernels()[3] // barneshut: multi-epoch, order-sensitive
 			ref := newProbeReference(t, k)
-			probesVsDedicated(t, k, ref, 3, false)
-			probesVsDedicated(t, k, ref, 3, true)
+			probesVsDedicated(t, k, ref, false)
+			probesVsDedicated(t, k, ref, true)
 		})
 	})
 	for _, k := range equivalenceKernels() {
@@ -673,11 +533,8 @@ func TestProbesMatchDedicatedMachines(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
 			ref := newProbeReference(t, k)
-			for _, shards := range []int{0, 1, 3} {
-				probesVsDedicated(t, k, ref, shards, false)
-			}
-			probesVsDedicated(t, k, ref, 0, true)
-			probesVsDedicated(t, k, ref, 3, true)
+			probesVsDedicated(t, k, ref, false)
+			probesVsDedicated(t, k, ref, true)
 		})
 	}
 }

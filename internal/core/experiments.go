@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"wsstudy/internal/apps/barneshut"
 	"wsstudy/internal/apps/cg"
@@ -26,14 +25,12 @@ import (
 // octave.
 func sizesGrid() []uint64 { return workingset.LogSizes(64, 4<<20, 2) }
 
-// openMachine builds the simulated machine an experiment runs on, on the
-// engine engineShards picks, and attaches run-scope observability. The
-// engines are bit-identical, so results never depend on the choice.
-// Callers must Close the machine — it is the sharded engine's worker
-// shutdown and failure-propagation barrier — and forward a non-nil Close
-// error into their Report.
+// openMachine builds the simulated machine an experiment runs on, with
+// the run's profiler fidelity, and attaches run-scope observability.
+// Callers must Close the machine — it is the end-of-run barrier that
+// publishes every run-scope counter — and forward a non-nil Close error
+// into their Report.
 func openMachine(ctx context.Context, o Options, cfg memsys.Config) (memsys.Machine, error) {
-	cfg.Shards = engineShards(cfg.PEs, runtime.GOMAXPROCS(0))
 	cfg.SampleRate = o.SampleRate
 	m, err := memsys.Open(cfg)
 	if err != nil {
@@ -41,19 +38,6 @@ func openMachine(ctx context.Context, o Options, cfg memsys.Config) (memsys.Mach
 	}
 	m.Instrument(obs.From(ctx))
 	return m, nil
-}
-
-// engineShards chooses the engine for a pes-processor machine on a host
-// running procs Go processors: the region-sharded engine with
-// memsys.DefaultShards() directory shards once the machine is large and
-// there is a second core to overlap with, the serial engine (0) otherwise.
-// On a 2-core host the sharded engine wins at P = 64, 256 and 1024 and
-// loses or ties at GOMAXPROCS=1; at P ≤ 32 it shows no consistent win.
-func engineShards(pes, procs int) int {
-	if pes >= 64 && procs >= 2 {
-		return memsys.DefaultShards()
-	}
-	return 0
 }
 
 // attachSampling records the run's profiler fidelity on the report when

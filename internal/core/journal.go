@@ -71,7 +71,11 @@ type Journal struct {
 // OpenJournal opens (or creates) the checkpoint journal at path,
 // replaying its intact frames and truncating any torn or corrupt tail
 // left by a crash mid-append. The returned journal serves lookups from
-// the replayed cells and appends new ones at the recovered end.
+// the replayed cells and appends new ones at the recovered end. An empty
+// file, or one holding only the start of the magic (a torn first write),
+// starts a fresh journal; any other file that does not begin with the
+// magic is not a journal, so OpenJournal returns an error and leaves it
+// untouched.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -87,8 +91,11 @@ func OpenJournal(path string) (*Journal, error) {
 	good := int64(0)
 	if len(data) > 0 {
 		if !bytes.HasPrefix(data, []byte(journalMagic)) {
-			// Not a journal (or a torn first write): start over.
-			data = nil
+			if !bytes.HasPrefix([]byte(journalMagic), data) {
+				f.Close()
+				return nil, fmt.Errorf("core: %s is not a suite journal (it does not start with %q)", path, journalMagic)
+			}
+			// A torn first write: start over.
 		} else {
 			good = int64(len(journalMagic))
 			for _, frame := range decodeJournalFrames(data[good:]) {

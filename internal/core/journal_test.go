@@ -173,23 +173,50 @@ func TestJournalCorruptFrameStopsReplay(t *testing.T) {
 	}
 }
 
-func TestJournalForeignFileRestarts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "suite.journal")
-	if err := os.WriteFile(path, []byte("this is not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Len() != 0 {
-		t.Errorf("foreign file revived %d cells", j.Len())
-	}
-	quick := Options{Scale: ScaleQuick}
-	rep, _ := journalExp("a").Run(context.Background(), quick)
-	if err := j.Record("a", quick, rep); err != nil {
-		t.Fatal(err)
+// TestJournalForeignFileUntouched: OpenJournal refuses a file that is
+// not a journal and leaves its bytes exactly as they were, so a -resume
+// path naming the wrong file destroys nothing. An empty file, or one
+// holding only the start of the magic (a torn first write), still opens
+// as a fresh journal.
+func TestJournalForeignFileUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		data    string
+		foreign bool
+	}{
+		{"foreign", "this is not a journal", true},
+		{"magic with a wrong last byte", journalMagic[:len(journalMagic)-1] + "2", true},
+		{"empty", "", false},
+		{"torn magic", journalMagic[:5], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "suite.journal")
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path)
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if tc.foreign {
+				if err == nil {
+					j.Close()
+					t.Fatal("OpenJournal accepted a file that is not a journal")
+				}
+				if string(after) != tc.data {
+					t.Fatalf("OpenJournal changed a foreign file: %q, was %q", after, tc.data)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if string(after) != journalMagic || j.Len() != 0 {
+				t.Fatalf("fresh journal holds %d cells in %q, want none in the bare magic", j.Len(), after)
+			}
+		})
 	}
 }
 
@@ -414,13 +441,15 @@ func copyFile(t *testing.T, src string) string {
 }
 
 // FuzzOpenJournal writes arbitrary bytes to a journal file and opens it.
-// Opening is the decoder of an untrusted file: it must never panic or
-// fail, and it only ever cuts a journal back — the file it leaves is an
-// intact prefix of the input, or the bare magic when the input does not
-// start with one. A second open is idempotent (same cells, same size),
-// and a cell recorded after the open survives a reopen. The seeds are the
-// magic alone, one valid frame, that frame torn, its CRC flipped, and a
-// frame header claiming more than journalMaxFrame bytes.
+// Opening is the decoder of an untrusted file: it must never panic, and
+// it only ever cuts a journal back — the file it leaves is an intact
+// prefix of the input, or the bare magic when the input is empty or a
+// torn magic. Any other input is not a journal: opening it must fail and
+// leave the file byte-for-byte unchanged. A second open is idempotent
+// (same cells, same size), and a cell recorded after the open survives a
+// reopen. The seeds are the magic alone, one valid frame, that frame
+// torn, its CRC flipped, a frame header claiming more than
+// journalMaxFrame bytes, and a file that is not a journal.
 func FuzzOpenJournal(f *testing.F) {
 	quick := Options{Scale: ScaleQuick}
 	seedPath := filepath.Join(f.TempDir(), "seed.journal")
@@ -441,7 +470,7 @@ func FuzzOpenJournal(f *testing.F) {
 	flipped[len(journalMagic)+4] ^= 0xFF
 	huge := binary.LittleEndian.AppendUint32([]byte(journalMagic), journalMaxFrame+1)
 	huge = append(huge, 0, 0, 0, 0, '{', '}')
-	for _, seed := range [][]byte{[]byte(journalMagic), valid, valid[:len(valid)-5], flipped, huge} {
+	for _, seed := range [][]byte{[]byte(journalMagic), valid, valid[:len(valid)-5], flipped, huge, []byte("not a journal")} {
 		f.Add(seed)
 	}
 
@@ -449,6 +478,16 @@ func FuzzOpenJournal(f *testing.F) {
 		path := filepath.Join(t.TempDir(), "suite.journal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(journalMagic)) && !bytes.HasPrefix([]byte(journalMagic), data) {
+			if j, err := OpenJournal(path); err == nil {
+				j.Close()
+				t.Fatal("OpenJournal accepted a file that is not a journal")
+			}
+			if on, err := os.ReadFile(path); err != nil || !bytes.Equal(on, data) {
+				t.Fatalf("open of a non-journal changed the file (read err %v)", err)
+			}
+			return
 		}
 		open := func() (*Journal, []byte) {
 			t.Helper()
@@ -471,7 +510,7 @@ func FuzzOpenJournal(f *testing.F) {
 				t.Fatalf("open left %d bytes that are not a prefix of the %d-byte journal", len(first), len(data))
 			}
 		} else if string(first) != journalMagic {
-			t.Fatalf("open of a non-journal left %q, want the bare magic", first)
+			t.Fatalf("open of an empty file or torn magic left %q, want the bare magic", first)
 		}
 
 		j, second := open()

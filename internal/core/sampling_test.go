@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"wsstudy/internal/apps/barneshut"
@@ -20,20 +19,19 @@ import (
 //
 //  1. Equivalence: SampleRate=1 is the exact profiler — bit-identical
 //     statistics to a machine that never heard of sampling, for every
-//     kernel, serial and sharded, including under GOMAXPROCS=1. This is
-//     the entry the Makefile equivalence target runs.
+//     kernel, including under GOMAXPROCS=1. This is the entry the
+//     Makefile equivalence target runs.
 //  2. Accuracy: at R ≤ 64, the sampled miss-rate curve's knee lands
 //     within one grid sample of the exact curve's on every kernel.
 
 // rateOneVsDefault runs one kernel through a profiling machine built
 // with SampleRate unset (the pre-sampling default) and with SampleRate=1
 // explicitly, and demands bit-identical snapshots.
-func rateOneVsDefault(t *testing.T, k kernelCase, shards int) {
+func rateOneVsDefault(t *testing.T, k kernelCase) {
 	t.Helper()
 	caps := []int{8, 64, 512, 4096}
 	base := memsys.Config{
 		PEs: 4, LineSize: 8, Profile: true, ProfilePE: 1, WarmupEpochs: k.warm,
-		Shards: shards,
 	}
 	runCfg := func(cfg memsys.Config) profSnapshot {
 		m, err := memsys.Open(cfg)
@@ -51,29 +49,26 @@ func rateOneVsDefault(t *testing.T, k kernelCase, shards int) {
 	one.SampleRate = 1
 	explicit := runCfg(one)
 	if !reflect.DeepEqual(explicit, def) {
-		t.Errorf("SampleRate=1 diverged from the default path (shards=%d)\nrate1:   %+v\ndefault: %+v",
-			shards, explicit, def)
+		t.Errorf("SampleRate=1 diverged from the default path\nrate1:   %+v\ndefault: %+v",
+			explicit, def)
 	}
 }
 
 // TestSamplingEquivalenceRateOne is the equivalence-gate entry for the
 // sampling axis: requesting rate 1 must route through the exact
-// profiler, bit-identically, on every kernel — serially, under the
-// region-sharded engine, and under GOMAXPROCS=1.
+// profiler, bit-identically, on every kernel, and with the host held to
+// one processor.
 func TestSamplingEquivalenceRateOne(t *testing.T) {
 	t.Run("gomaxprocs=1", func(t *testing.T) {
-		old := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(old)
-		k := equivalenceKernels()[3] // barneshut: multi-epoch, order-sensitive
-		rateOneVsDefault(t, k, 0)
-		rateOneVsDefault(t, k, 3)
+		withGOMAXPROCS(1, func() {
+			rateOneVsDefault(t, equivalenceKernels()[3]) // barneshut: multi-epoch, order-sensitive
+		})
 	})
 	for _, k := range equivalenceKernels() {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			rateOneVsDefault(t, k, 0)
-			rateOneVsDefault(t, k, 3)
+			rateOneVsDefault(t, k)
 		})
 	}
 }

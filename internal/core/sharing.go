@@ -16,11 +16,9 @@ import (
 // headline 1024-PE configuration: a CG solve partitioned across 1024
 // processors with concrete per-PE caches, sweeping the line size to watch
 // communication (remote misses, invalidations) grow with grain. The
-// machine opens like every other through openMachine, which puts P=1024 on
-// the region-sharded engine when a second core is available (87 ms vs
-// 118 ms serial for the quick shape on a 2-core host). Every statistic is
-// engine-independent (the equivalence gate), so the choice is a speed
-// choice, not a semantic one.
+// machine opens like every other through openMachine; at full scale (CG
+// 128x128, four line sizes) the run takes about 0.6 s on a 2-core
+// host.
 func expSharing1024() Experiment {
 	return Experiment{
 		ID:    "sharing1024",

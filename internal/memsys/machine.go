@@ -7,24 +7,17 @@ import (
 	"wsstudy/internal/trace"
 )
 
-// Machine is the engine-neutral face of the simulated multiprocessor.
-// System (serial) and Sharded (region-partitioned, W directory shards)
-// both satisfy it and are bit-identical in every statistic; Open picks
-// between them by Config.Shards, so experiments are written once against
-// Machine and run on whichever engine is faster for their P and host.
+// Machine is the face of the simulated multiprocessor that experiments
+// and the benchmark ledger are written against; *System is its only
+// implementation, and Open returns one.
 //
-// Engine-specific caveats live behind the accessors: on the sharded
-// engine, every statistics read (Stats, CacheStats, DirectoryStats,
-// Profiler, Cache) drains the pipeline to a barrier first, so results are
-// always a consistent post-barrier snapshot. Close releases engine
-// resources (worker goroutines on the sharded engine) and reports any
-// failure-injection error the run recorded; it is idempotent, and the
-// sharded engine must be closed before its results are discarded.
+// Close is the end-of-run barrier: it publishes every run-scope counter
+// (see System.Instrument), never fails, and may be called more than once.
 type Machine interface {
 	trace.EpochConsumer // Ref + BeginEpoch
 	trace.BlockConsumer // Ref + Refs
 
-	// Instrument attaches run-scope counters from rec to the engine and
+	// Instrument attaches run-scope counters from rec to the machine and
 	// every component it owns. Nil leaves the machine uninstrumented.
 	Instrument(rec *obs.Recorder)
 	// Home reports the processor whose local memory holds addr.
@@ -46,31 +39,25 @@ type Machine interface {
 	PEs() int
 	// LineSize reports the configured line size.
 	LineSize() uint32
-	// Close releases engine resources and reports any recorded error.
+	// Close publishes every run-scope counter and reports any error.
 	Close() error
 }
 
-// Open builds the machine cfg selects: the serial System when cfg.Shards
-// is zero, the region-sharded engine when it is positive. Negative shard
-// counts are rejected with ErrInvalidConfig.
+// Open builds the System cfg describes, as a Machine. It accepts exactly
+// the configurations New accepts.
 func Open(cfg Config) (Machine, error) {
-	cfg, err := normalize(cfg)
+	s, err := New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, err // not a typed nil *System inside the interface
 	}
-	if cfg.Shards == 0 {
-		return New(cfg)
-	}
-	return newSharded(cfg)
+	return s, nil
 }
 
-// MustOpen is Open for configurations known statically valid.
-func MustOpen(cfg Config) Machine {
-	m, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
+// DefaultShards returns 0, the only Shards value a Config may carry.
+//
+// Deprecated: the region-sharded engine it sized is gone; every machine
+// is a serial System. It remains only for callers written against that
+// engine, and goes with Config.Shards.
+func DefaultShards() int { return 0 }
 
 var _ Machine = (*System)(nil)

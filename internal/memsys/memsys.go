@@ -72,19 +72,17 @@ type Config struct {
 	// sets; profiling one PE of a symmetric computation is cheaper and
 	// equivalent). -1 profiles every PE.
 	ProfilePE int
-	// Shards selects the engine Open builds: 0 is the serial System, a
-	// positive count is the region-sharded engine with that many
-	// directory shards. The sharded engine is bit-identical to the serial
-	// one — Shards changes wall-clock behaviour only, never a statistic —
-	// which is why core chooses it from P and GOMAXPROCS rather than
-	// exposing it as an option.
+	// Shards must be 0; New rejects any other value.
+	//
+	// Deprecated: it selected the region-sharded engine, which is gone.
+	// It remains only for callers written against that engine, and goes
+	// with DefaultShards.
 	Shards int
 	// SampleRate selects profiler fidelity when Profile is set: 0 or 1
 	// attaches exact stack-distance profilers, a power of two ≥ 2
 	// attaches spatially-sampled ones (cache.SampledStackProfiler) that
-	// profile a hashed 1/R subset of the line space. Unlike Shards this
-	// changes reported statistics, so core includes it in the canonical
-	// option encoding.
+	// profile a hashed 1/R subset of the line space. It changes reported
+	// statistics, so core includes it in the canonical option encoding.
 	SampleRate int
 	// Probes attaches caller-built caches to processors: Probes[pe]
 	// lists the caches observing pe. A probe sees exactly the line
@@ -173,8 +171,7 @@ func (st *Stats) publish(pub *Stats, local, remote *obs.Counter) {
 	*pub = *st
 }
 
-// normalize validates cfg and fills defaults; New and Open share it so the
-// serial and sharded engines accept exactly the same configurations.
+// normalize validates cfg and fills defaults.
 func normalize(cfg Config) (Config, error) {
 	if cfg.PEs <= 0 {
 		return cfg, fmt.Errorf("%w: PEs must be positive, got %d", ErrInvalidConfig, cfg.PEs)
@@ -210,8 +207,8 @@ func normalize(cfg Config) (Config, error) {
 	if cfg.Profile && (cfg.ProfilePE < -1 || cfg.ProfilePE >= cfg.PEs) {
 		return cfg, fmt.Errorf("%w: ProfilePE %d out of range [-1, %d)", ErrInvalidConfig, cfg.ProfilePE, cfg.PEs)
 	}
-	if cfg.Shards < 0 {
-		return cfg, fmt.Errorf("%w: Shards must not be negative, got %d", ErrInvalidConfig, cfg.Shards)
+	if cfg.Shards != 0 {
+		return cfg, fmt.Errorf("%w: Shards must be 0 (the sharded engine is gone), got %d", ErrInvalidConfig, cfg.Shards)
 	}
 	if cfg.SampleRate == 0 {
 		cfg.SampleRate = 1
@@ -222,11 +219,10 @@ func normalize(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// units is the per-processor machinery both engines drive: each PE's
+// units is the per-processor machinery a System drives: each PE's
 // concrete cache or working-set profiler (by mode), the probes observing
 // it, and the invalidator the directory reaches them all through.
-// buildPEs constructs it, so the serial and sharded engines simulate the
-// identical machine.
+// buildPEs constructs it.
 type units struct {
 	caches    []cache.Cache           // per PE in cache mode, else nil
 	profilers []cache.Profiler        // per PE in profile mode (nil when unprofiled), else nil
@@ -297,8 +293,8 @@ func buildPEs(cfg Config, measuring bool) (units, error) {
 }
 
 // access touches one line in pe's probes and its cache or profiler, and
-// reports whether the cache or profiler (certainly) missed; both engines
-// classify misses through it, counting them only while measuring.
+// reports whether the cache or profiler (certainly) missed; the System
+// classifies misses through it, counting them only while measuring.
 // Profiled PEs report misses only in the infinite-cache sense (cold or
 // coherence), since per-size misses are resolved after the fact. A PE
 // with no cache or profiler never misses.
@@ -357,8 +353,8 @@ func (u *units) instrument(rec *obs.Recorder) {
 }
 
 // publish publishes every unit's run totals: the profilers' accesses and
-// the caches' and probes' evictions. It walks all P units, so the engines
-// call it at barriers only, never per block.
+// the caches' and probes' evictions. It walks all P units, so the System
+// calls it at the warm-up flip and at Close only, never per block.
 func (u *units) publish() {
 	for _, p := range u.profiled {
 		p.Publish()
@@ -373,29 +369,10 @@ func (u *units) publish() {
 	}
 }
 
-// homeOf is the home-node map shared by both engines: the processor whose
-// local memory holds addr under cfg's distribution.
-func homeOf(cfg *Config, shift uint, addr uint64) int {
-	switch cfg.Dist {
-	case Interleaved:
-		return int((addr >> shift) % uint64(cfg.PEs))
-	default: // Blocked
-		per := cfg.Extent / uint64(cfg.PEs)
-		if per == 0 {
-			per = 1
-		}
-		pe := addr / per
-		if pe >= uint64(cfg.PEs) {
-			pe = uint64(cfg.PEs) - 1
-		}
-		return int(pe)
-	}
-}
-
-// New builds a serial System from cfg. All configuration errors wrap
+// New builds a System from cfg. All configuration errors wrap
 // ErrInvalidConfig (and, where a subsystem rejected the input, that
-// subsystem's own invalid-configuration sentinel). Open is the
-// engine-selecting factory; New always returns the serial engine.
+// subsystem's own invalid-configuration sentinel). Open is New behind
+// the Machine interface.
 func New(cfg Config) (*System, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
@@ -423,9 +400,23 @@ func MustNew(cfg Config) *System {
 	return s
 }
 
-// Home reports the processor whose local memory holds addr.
+// Home reports the processor whose local memory holds addr under the
+// configured distribution.
 func (s *System) Home(addr uint64) int {
-	return homeOf(&s.cfg, s.shift, addr)
+	switch s.cfg.Dist {
+	case Interleaved:
+		return int((addr >> s.shift) % uint64(s.cfg.PEs))
+	default: // Blocked
+		per := s.cfg.Extent / uint64(s.cfg.PEs)
+		if per == 0 {
+			per = 1
+		}
+		pe := addr / per
+		if pe >= uint64(s.cfg.PEs) {
+			pe = uint64(s.cfg.PEs) - 1
+		}
+		return int(pe)
+	}
 }
 
 // Ref consumes one reference: the issuing PE's cache is accessed line by
@@ -530,7 +521,7 @@ func (s *System) CacheStats() cache.Stats {
 func (s *System) Directory() *coherence.Directory { return s.dir }
 
 // DirectoryStats returns the coherence protocol statistics. It is the
-// engine-neutral accessor Machine callers use instead of Directory().
+// accessor Machine callers use instead of Directory().
 func (s *System) DirectoryStats() coherence.Stats { return s.dir.Stats() }
 
 // Stats returns the local/remote miss classification.
@@ -542,9 +533,8 @@ func (s *System) PEs() int { return s.cfg.PEs }
 // LineSize reports the configured line size.
 func (s *System) LineSize() uint32 { return s.cfg.LineSize }
 
-// Close satisfies Machine. The serial engine owns no goroutines, so Close
-// never fails; it is the end-of-run barrier that publishes every
-// run-scope counter, and it may be called more than once.
+// Close is the end-of-run barrier that publishes every run-scope counter.
+// It never fails and may be called more than once.
 func (s *System) Close() error {
 	s.publish(true)
 	return nil

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"errors"
 	"testing"
 
 	"wsstudy/internal/cache"
@@ -28,6 +29,34 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err != nil {
 			t.Errorf("valid config %+v rejected: %v", cfg, err)
 		}
+	}
+}
+
+// TestOpenValidation pins the factory contract: Open returns a *System,
+// reports a bad configuration as a nil Machine and ErrInvalidConfig, and
+// rejects every Shards value but 0, which is all DefaultShards returns.
+func TestOpenValidation(t *testing.T) {
+	for _, shards := range []int{-1, 1, 2} {
+		m, err := Open(Config{PEs: 2, CacheCapacity: 4, ProfilePE: -1, Shards: shards})
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Shards=%d: err = %v, want ErrInvalidConfig", shards, err)
+		}
+		if m != nil {
+			t.Errorf("Shards=%d: Machine = %#v, want nil", shards, m)
+		}
+	}
+	if w := DefaultShards(); w != 0 {
+		t.Fatalf("DefaultShards() = %d, want 0", w)
+	}
+	m, err := Open(Config{PEs: 2, CacheCapacity: 4, ProfilePE: -1, Shards: DefaultShards()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.(*System); !ok {
+		t.Fatalf("Open: got %T, want *System", m)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

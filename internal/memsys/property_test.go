@@ -83,154 +83,6 @@ func TestMissConservation(t *testing.T) {
 	}
 }
 
-// randTrace generates the reference stream shared by the sharded-vs-serial
-// properties: random PE, small hot address range (to force sharing),
-// mixed read/write, occasional multi-line references, epoch boundaries
-// every epochLen refs.
-func randTrace(rng *rand.Rand, pes, refs, epochLen int, m Machine) {
-	epoch := 0
-	m.BeginEpoch(0)
-	for i := 0; i < refs; i++ {
-		if epochLen > 0 && i > 0 && i%epochLen == 0 {
-			epoch++
-			m.BeginEpoch(epoch)
-		}
-		kind := trace.Read
-		if rng.Intn(3) == 0 {
-			kind = trace.Write
-		}
-		size := uint32(8)
-		if rng.Intn(16) == 0 {
-			size = 8 * uint32(1+rng.Intn(4)) // straddle lines
-		}
-		m.Ref(trace.Ref{
-			PE:   rng.Intn(pes),
-			Addr: uint64(rng.Intn(512)) * 8,
-			Size: size,
-			Kind: kind,
-		})
-	}
-}
-
-// TestShardedMatchesSerialProperty: across random P / shard-count /
-// distribution / cache-vs-profile combinations, the sharded engine's miss
-// classification, cache stats, and coherence protocol stats (invalidations,
-// downgrades included) are bit-identical to the serial engine's on the
-// same trace.
-func TestShardedMatchesSerialProperty(t *testing.T) {
-	check := func(seed int64, pesRaw, shardsRaw, distRaw, modeRaw uint8) bool {
-		pes := int(pesRaw%12) + 1
-		shards := int(shardsRaw%6) + 1
-		cfg := Config{
-			PEs:          pes,
-			LineSize:     8,
-			Dist:         Interleaved,
-			Extent:       1 << 16,
-			WarmupEpochs: int(seed&1) + 1,
-		}
-		if distRaw%2 == 1 {
-			cfg.Dist = Blocked
-		}
-		profile := modeRaw%2 == 1
-		if profile {
-			cfg.Profile = true
-			cfg.ProfilePE = -1
-			if modeRaw%4 == 3 {
-				cfg.ProfilePE = pes - 1 // single-PE profiling, nil slots elsewhere
-			}
-		} else {
-			cfg.CacheCapacity = 16
-			cfg.Assoc = int(modeRaw % 3) // FA, direct-mapped, 2-way
-			cfg.ProfilePE = -1
-		}
-
-		serial := MustOpen(cfg)
-		shCfg := cfg
-		shCfg.Shards = shards
-		sharded := MustOpen(shCfg)
-
-		const refs, epochLen = 3000, 700
-		randTrace(rand.New(rand.NewSource(seed)), pes, refs, epochLen, serial)
-		randTrace(rand.New(rand.NewSource(seed)), pes, refs, epochLen, sharded)
-
-		if err := sharded.Close(); err != nil {
-			t.Logf("close: %v", err)
-			return false
-		}
-		if serial.Stats() != sharded.Stats() {
-			t.Logf("pes=%d shards=%d: sys stats %+v vs %+v", pes, shards, serial.Stats(), sharded.Stats())
-			return false
-		}
-		if serial.DirectoryStats() != sharded.DirectoryStats() {
-			t.Logf("pes=%d shards=%d: dir stats %+v vs %+v", pes, shards, serial.DirectoryStats(), sharded.DirectoryStats())
-			return false
-		}
-		if !profile {
-			if serial.CacheStats() != sharded.CacheStats() {
-				t.Logf("pes=%d shards=%d: cache stats %+v vs %+v", pes, shards, serial.CacheStats(), sharded.CacheStats())
-				return false
-			}
-			for pe := 0; pe < pes; pe++ {
-				if serial.Cache(pe).Stats() != sharded.Cache(pe).Stats() {
-					return false
-				}
-			}
-		} else {
-			for pe := 0; pe < pes; pe++ {
-				sp, pp := serial.Profiler(pe), sharded.Profiler(pe)
-				if (sp == nil) != (pp == nil) {
-					return false
-				}
-				if sp == nil {
-					continue
-				}
-				scR, scW := sp.ColdMisses()
-				pcR, pcW := pp.ColdMisses()
-				shR, shW := sp.CoherenceMisses()
-				phR, phW := pp.CoherenceMisses()
-				if scR != pcR || scW != pcW || shR != phR || shW != phW {
-					return false
-				}
-				if sp.MissesAt(64) != pp.MissesAt(64) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedDeterminismProperty: the same seed twice through the sharded
-// engine yields identical statistics — no dependence on goroutine timing.
-func TestShardedDeterminismProperty(t *testing.T) {
-	check := func(seed int64, shardsRaw uint8) bool {
-		const pes = 6
-		shards := int(shardsRaw%5) + 1
-		run := func() (Stats, interface{}) {
-			m := MustOpen(Config{
-				PEs: pes, LineSize: 8, CacheCapacity: 12, ProfilePE: -1,
-				WarmupEpochs: 1, Shards: shards,
-			})
-			randTrace(rand.New(rand.NewSource(seed)), pes, 4000, 900, m)
-			st := m.Stats()
-			ds := m.DirectoryStats()
-			if err := m.Close(); err != nil {
-				t.Logf("close: %v", err)
-			}
-			return st, ds
-		}
-		s1, d1 := run()
-		s2, d2 := run()
-		return s1 == s2 && d1 == d2
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCoherenceSingleWriterProperty: after any trace, a line the directory
 // says is dirty has exactly one sharer, and re-reading it from another PE
 // downgrades it.

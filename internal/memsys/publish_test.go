@@ -114,8 +114,8 @@ func newPublishMachine(t *testing.T, profile bool) publishMachine {
 // accesses the lines its PE touched. After Close every counter equals what
 // counting each event as it happens gives: the directory's events over
 // the whole run, the measured local/remote misses, and every cache's and
-// probe's evictions, warm-up included. The same stream fed per Ref, and
-// fed to the sharded engine, reaches the same counters at Close.
+// probe's evictions, warm-up included. The same stream fed per Ref
+// reaches the same counters at Close.
 func TestPublicationContract(t *testing.T) {
 	for _, profile := range []bool{false, true} {
 		name := "caches"
@@ -195,46 +195,26 @@ func TestPublicationContract(t *testing.T) {
 				}
 			}
 
-			// The per-Ref path publishes only at the flip and Close; the
-			// sharded engine's workers publish per block, asynchronously.
-			for _, engine := range []struct {
-				name   string
-				shards int
-				perRef bool
-			}{{"per-Ref", 0, true}, {"sharded", 2, false}} {
-				cfg := newPublishMachine(t, profile).cfg
-				cfg.Shards = engine.shards
-				m, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
+			// The per-Ref path publishes only at the flip and Close.
+			perRef, err := New(newPublishMachine(t, profile).cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec = obs.New()
+			perRef.Instrument(rec)
+			for i, block := range blocks {
+				if epoch, begins := publishEpoch(i); begins {
+					perRef.BeginEpoch(epoch)
 				}
-				rec := obs.New()
-				m.Instrument(rec)
-				for i, block := range blocks {
-					if epoch, begins := publishEpoch(i); begins {
-						m.BeginEpoch(epoch)
-					}
-					if !engine.perRef {
-						m.Refs(block)
-						continue
-					}
-					for _, r := range block {
-						m.Ref(r)
-					}
+				for _, r := range block {
+					perRef.Ref(r)
 				}
-				if err := m.Close(); err != nil {
-					t.Fatal(err)
-				}
-				other := rec.Snapshot().Counters
-				for name := range other {
-					if _, ok := got[name]; !ok {
-						delete(other, name) // memsys.shard.* and memsys.barriers
-					}
-				}
-				if !reflect.DeepEqual(other, got) {
-					t.Errorf("%s counters after Close differ from the block-fed machine's\n%s: %v\nblocks: %v",
-						engine.name, engine.name, other, got)
-				}
+			}
+			if err := perRef.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if other := rec.Snapshot().Counters; !reflect.DeepEqual(other, got) {
+				t.Errorf("per-Ref counters after Close differ from the block-fed machine's\nper-Ref: %v\nblocks:  %v", other, got)
 			}
 		})
 	}

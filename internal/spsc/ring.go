@@ -1,13 +1,13 @@
 // Package spsc provides a single-producer single-consumer ring buffer
 // with batched, blocking semantics.
 //
-// The ring is the handoff primitive under trace.Fanout's sharded worker
-// pool and the memsys.Sharded engine: the producer publishes batches of
-// items with one atomic store and at most one channel send per batch,
-// and the consumer drains everything available with one atomic store on
-// its side. Compared with a Go channel the per-item cost collapses from a
-// lock acquisition to a slice copy, which is what lets a synchronization
-// point amortize over many simulation blocks.
+// Its one user is trace.Fanout, which feeds each of its workers through
+// a ring: the producer publishes batches of items with one atomic store
+// and at most one channel send per batch, and the consumer drains
+// everything available with one atomic store on its side. Compared with
+// a Go channel the per-item cost collapses from a lock acquisition to a
+// slice copy, which is what lets a synchronization point amortize over
+// many simulation blocks.
 //
 // Blocking uses two capacity-1 wake channels rather than spinning, so
 // the ring is safe (and fair) under GOMAXPROCS=1: a producer that fills
