@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_OUT ?= BENCH_PR18.json
 
-.PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz bench bench-smoke
+.PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz
 
 # Tier-1 gate: everything must build, `go vet ./...` clean, be
 # gofmt-formatted, pass under -race, the batched pipeline must remain
@@ -18,11 +17,11 @@ BENCH_OUT ?= BENCH_PR18.json
 # failpoint test-covered (chaos-smoke), one full-scale sampled kernel
 # profile must land inside the smoke wall-clock budget (sample-smoke),
 # a 2-node peer cluster must hold the load contract under a short
-# measured wsload run (load-smoke), every benchmark must still run for
-# one iteration (bench-smoke), the bench/ module must still compile
+# measured wsload run (load-smoke), the bench/ module must still compile
 # against the names it uses (bench-vet), and every benchmark workload
-# must pass its own checks at toy size (bench-test).
-check: build vet bench-vet bench-test fmt-check race equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke bench-smoke
+# must pass its own checks at toy size (bench-test). Performance is
+# recorded by the bench/ ledger alone (`bash bench/run.sh`).
+check: build vet bench-vet bench-test fmt-check race equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -59,7 +58,8 @@ fmt-check:
 # table's dense bound), the flat LRU and set-associative caches to the
 # map-based caches they replaced (a seeded stress test of reads, writes,
 # invalidations and a statistics reset, compared after every operation;
-# a one-set SetAssoc is also held to the LRU of its capacity),
+# a one-set SetAssoc is also held to the LRU of its capacity, on every
+# outcome and statistic),
 # and the stack profiler's compaction to the counts of its known phantom
 # slot, which the golden report hashes depend on.
 equivalence:
@@ -113,30 +113,15 @@ race:
 # Longer-running decoder fuzz (30s per target), as used in CI's
 # extended job: the trace replayer, the v1 query decoder, the
 # follower's peer-response gate (digest and schema), the owner's
-# parse of the hold a peer names, and the suite journal's opener (every
-# open syncs a file, so this target runs a few hundred inputs a second).
+# parse of the hold a peer names, the suite journal's opener (every
+# open syncs a file, so this target runs a few hundred inputs a second),
+# the store's schema gate for persisted and peer-filled reports, and
+# sweep spec canonicalization (idempotent and order-insensitive).
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReplay -fuzztime=30s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeRequestV1 -fuzztime=30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz=FuzzPeerResponse -fuzztime=30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz=FuzzHoldHeader -fuzztime=30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz=FuzzOpenJournal -fuzztime=30s ./internal/core/
-
-# Delivery, sweep-engine, and serving-tier benchmarks (ring lookup,
-# warm peer-fill, wsload cached-RPS and overload shedding); results are
-# archived in $(BENCH_OUT) for comparison against the numbers quoted in
-# DESIGN.md (BENCH_PR2.json holds the pre-sharding baseline). Three counted runs
-# per benchmark so the archived file shows the spread — shared hosts
-# swing several percent run to run; compare medians, not single samples.
-bench:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
-		-benchmem -benchtime 10x -count 3 -json . ./internal/cluster/ > $(BENCH_OUT)
-	@grep -o '"Output":"[^"]*ns/op[^"]*"' $(BENCH_OUT) | head -40
-
-# One iteration of every benchmark: proves the benchmark set still
-# compiles and runs end to end without paying for stable timings.
-bench-smoke:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRefDelivery|BenchmarkFanout|BenchmarkAblationLRUBank|BenchmarkSampledProfiler|BenchmarkClusterRingOwner|BenchmarkClusterPeerFetch|BenchmarkWsloadCachedRPS|BenchmarkWsloadOverloadShed' \
-		-benchtime 1x -count 1 . ./internal/cluster/ > /dev/null
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzSpecCanonicalize -fuzztime=30s ./internal/sweep/

@@ -1,16 +1,12 @@
 package wss
 
-// Load-harness benchmarks for the horizontal serving tier. Both drive
-// a real 2-node in-process cluster through the facade (StartNode +
-// RunLoad) exactly as `wsstudy serve` + `wsload` would over localhost.
-//
-//   - BenchmarkWsloadCachedRPS: warmed keys served from cache and
-//     peer-fill. Reports cached_rps against compute_rps (the rate a
-//     single key's kernel could sustain) — the archived ratio is the
-//     serving tier's whole reason to exist.
-//   - BenchmarkWsloadOverloadShed: an uncached open-loop storm against
-//     one compute slot per node. Reports served vs cleanly shed RPS;
-//     any contract-violating response fails the benchmark.
+// Load-harness benchmark for the horizontal serving tier
+// (BenchmarkWsloadOverloadShed, DESIGN.md §13). It drives a real 2-node
+// in-process cluster through the facade (StartNode + RunLoad) exactly
+// as `wsstudy serve` + `wsload` would over localhost: an uncached
+// open-loop storm against one compute slot per node. It reports served
+// vs cleanly shed RPS; any contract-violating response fails the
+// benchmark. The cached rate is the ledger's load.max_rps.
 
 import (
 	"context"
@@ -18,13 +14,9 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"wsstudy/internal/obs"
 )
 
-// benchKernelCost is the fixed cost of the synthetic load kernel; its
-// inverse is the compute ceiling a cache-less tier could sustain on
-// one key.
+// benchKernelCost is the fixed cost of the synthetic load kernel.
 const benchKernelCost = 10 * time.Millisecond
 
 func benchKernel() Experiment {
@@ -44,11 +36,11 @@ func benchKernel() Experiment {
 	}
 }
 
-// bootLoadBench starts a 2-node cluster for load benchmarks and
-// returns the nodes plus their recorders. Shut down via the returned
-// stop func (benchmarks boot per-iteration clusters, so t.Cleanup
-// ordering is not enough).
-func bootLoadBench(b *testing.B, slots int, tweak func(cfg *NodeConfig)) ([]*Node, []*Recorder, func()) {
+// bootLoadBench starts a 2-node cluster with one compute slot per node
+// and returns the nodes' URLs. Shut down via the returned stop func
+// (the benchmark boots a cluster per iteration, so t.Cleanup ordering
+// is not enough).
+func bootLoadBench(b *testing.B) ([]string, func()) {
 	b.Helper()
 	lns := make([]net.Listener, 2)
 	peers := make(map[string]string, 2)
@@ -61,27 +53,22 @@ func bootLoadBench(b *testing.B, slots int, tweak func(cfg *NodeConfig)) ([]*Nod
 		peers[fmt.Sprintf("b%d", i)] = "http://" + ln.Addr().String()
 	}
 	nodes := make([]*Node, 2)
-	recs := make([]*Recorder, 2)
+	urls := make([]string, 2)
 	for i := range nodes {
-		recs[i] = NewRecorder()
-		cfg := NodeConfig{
+		node, err := StartNode(NodeConfig{
 			Listener:       lns[i],
 			NodeID:         fmt.Sprintf("b%d", i),
 			PeerAddrs:      peers,
-			Store:          StoreConfig{Slots: slots},
+			Store:          StoreConfig{Slots: 1},
 			Registry:       []Experiment{benchKernel()},
 			DefaultScale:   ScaleQuick,
-			RequestTimeout: 30 * time.Second,
-			Recorder:       recs[i],
-		}
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		node, err := StartNode(cfg)
+			WaitBudget:     300 * time.Millisecond,
+			RequestTimeout: 10 * time.Second,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodes[i] = node
+		nodes[i], urls[i] = node, node.URL()
 	}
 	stop := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -90,58 +77,7 @@ func bootLoadBench(b *testing.B, slots int, tweak func(cfg *NodeConfig)) ([]*Nod
 			_ = n.Shutdown(ctx)
 		}
 	}
-	return nodes, recs, stop
-}
-
-func targetURLs(nodes []*Node) []string {
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.URL()
-	}
-	return urls
-}
-
-// BenchmarkWsloadCachedRPS measures sustained cached throughput: 4
-// warmed keys spread over 2 nodes under open-loop load. Every key is
-// computed exactly once cluster-wide (the second copy arrives by
-// peer-fill), so extra_computes must report 0.
-func BenchmarkWsloadCachedRPS(b *testing.B) {
-	const keys = 4
-	nodes, recs, stop := bootLoadBench(b, 4, nil)
-	defer stop()
-
-	var servedRPS float64
-	for i := 0; i < b.N; i++ {
-		res, err := RunLoad(context.Background(), LoadConfig{
-			Targets:    targetURLs(nodes),
-			Experiment: "benchkern",
-			Keys:       keys,
-			RPS:        2000,
-			Duration:   250 * time.Millisecond,
-			Warm:       true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Wrong != 0 {
-			b.Fatalf("wrong = %d: %v", res.Wrong, res.WrongSample)
-		}
-		servedRPS += res.ServedRPS
-	}
-
-	var computes uint64
-	for _, rec := range recs {
-		computes += rec.Snapshot().Durations[obs.StoreComputeWall].Count
-	}
-	computeRPS := float64(time.Second) / float64(benchKernelCost)
-	cachedRPS := servedRPS / float64(b.N)
-	b.ReportMetric(cachedRPS, "cached_rps")
-	b.ReportMetric(computeRPS, "compute_rps")
-	b.ReportMetric(cachedRPS/computeRPS, "rps_ratio")
-	b.ReportMetric(float64(computes-keys), "extra_computes")
-	if computes != keys {
-		b.Fatalf("cluster ran %d computes for %d keys (peer-fill should cover the rest)", computes, keys)
-	}
+	return urls, stop
 }
 
 // BenchmarkWsloadOverloadShed measures clean degradation: a fresh
@@ -151,12 +87,9 @@ func BenchmarkWsloadCachedRPS(b *testing.B) {
 func BenchmarkWsloadOverloadShed(b *testing.B) {
 	var servedRPS, shedRPS float64
 	for i := 0; i < b.N; i++ {
-		nodes, _, stop := bootLoadBench(b, 1, func(cfg *NodeConfig) {
-			cfg.WaitBudget = 300 * time.Millisecond
-			cfg.RequestTimeout = 10 * time.Second
-		})
+		urls, stop := bootLoadBench(b)
 		res, err := RunLoad(context.Background(), LoadConfig{
-			Targets:    targetURLs(nodes),
+			Targets:    urls,
 			Experiment: "benchkern",
 			Keys:       64,
 			RPS:        300,

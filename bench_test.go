@@ -1,12 +1,13 @@
 package wss
 
-// One benchmark per paper artifact (figure/table), plus ablation and
-// kernel micro-benchmarks. Each figure/table benchmark regenerates its
-// artifact end to end in quick mode; `go test -bench=. -benchmem` is the
-// reproduction sweep, and `wsstudy all` prints the full-scale renderings.
+// Design-choice ablation studies (the DESIGN.md section 4 items) and the
+// sampling error/throughput harness, run with `go test -bench`. They
+// measure what the bench/ ledger does not: the cost of one design
+// against another on a fixed input, and the sampled profiler's error.
+// Every end-to-end and per-layer timing lives in the ledger
+// (`bash bench/run.sh`).
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -15,52 +16,9 @@ import (
 	"wsstudy/internal/apps/barneshut"
 	"wsstudy/internal/apps/cg"
 	"wsstudy/internal/apps/fft"
-	"wsstudy/internal/apps/lu"
-	"wsstudy/internal/apps/volrend"
 	"wsstudy/internal/cache"
-	"wsstudy/internal/core"
 	"wsstudy/internal/trace"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := core.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(context.Background(), core.Options{Scale: core.ScaleQuick})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Figures) == 0 && len(rep.Tables) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-// Figures.
-
-func BenchmarkFig2LU(b *testing.B)                { benchExperiment(b, "fig2") }
-func BenchmarkFig4CG(b *testing.B)                { benchExperiment(b, "fig4") }
-func BenchmarkFig5FFT(b *testing.B)               { benchExperiment(b, "fig5") }
-func BenchmarkFig6BarnesHut(b *testing.B)         { benchExperiment(b, "fig6") }
-func BenchmarkFig7Volrend(b *testing.B)           { benchExperiment(b, "fig7") }
-func BenchmarkBarnesHutDirectMapped(b *testing.B) { benchExperiment(b, "fig6dm") }
-
-// Tables and analyses.
-
-func BenchmarkTable1Growth(b *testing.B)   { benchExperiment(b, "table1") }
-func BenchmarkTable2Summary(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkMachines(b *testing.B)       { benchExperiment(b, "machines") }
-func BenchmarkGrainScenarios(b *testing.B) { benchExperiment(b, "grain") }
-func BenchmarkScalingBH(b *testing.B)      { benchExperiment(b, "scalingbh") }
-func BenchmarkCostModel(b *testing.B)      { benchExperiment(b, "cost") }
-func BenchmarkAssocSweep(b *testing.B)     { benchExperiment(b, "assoc") }
-func BenchmarkLineSizeStudy(b *testing.B)  { benchExperiment(b, "linesize") }
-func BenchmarkScalingAll(b *testing.B)     { benchExperiment(b, "scalingall") }
-func BenchmarkPhases(b *testing.B)         { benchExperiment(b, "phases") }
-func BenchmarkBusTraffic(b *testing.B)     { benchExperiment(b, "bus") }
 
 // Ablation: one stack-distance pass versus a bank of exact LRU caches at
 // 16 sizes, over the same random trace. The profiler should win by an
@@ -114,139 +72,6 @@ func BenchmarkAblationLRUBank(b *testing.B) {
 	b.ReportMetric(float64(len(addrs)), "refs/op")
 }
 
-// Reference-delivery benchmarks: the cost of moving the stream from the
-// kernel to the simulator, isolated from both. The captured LU trace is
-// recorded once and replayed through each delivery mechanism.
-
-var luTraceCache struct {
-	once sync.Once
-	refs []trace.Ref
-	err  error
-}
-
-// luTrace records one LU factorization's reference stream.
-func luTrace(b *testing.B) []trace.Ref {
-	b.Helper()
-	luTraceCache.once.Do(func() {
-		rec := &trace.Recorder{}
-		m := lu.NewBlockMatrix(64, 8, nil)
-		m.FillRandomDominant(1)
-		_, luTraceCache.err = lu.FactorTraced(m, lu.Grid{PR: 2, PC: 2}, rec)
-		luTraceCache.refs = rec.Refs
-	})
-	if luTraceCache.err != nil {
-		b.Fatal(luTraceCache.err)
-	}
-	return luTraceCache.refs
-}
-
-// BenchmarkRefDelivery measures the delivery chain `wstrace analyze`
-// runs — context guard → PEFilter → counting consumer — over the captured
-// LU trace. perRef is the legacy pipeline: every reference crosses the
-// chain as a cascade of virtual calls. block is the refactored pipeline:
-// one dispatch per DefaultBlockSize block, with the filter slicing out
-// contiguous same-PE runs instead of re-dispatching each reference.
-// batched pushes every reference through the kernel-boundary Batcher
-// (buffer append plus one block delivery per 512), so the three rows
-// separate buffering cost from delivery cost under an identical producer
-// loop. The refactor's headline requirement is block ≥ 2× perRef
-// throughput.
-func BenchmarkRefDelivery(b *testing.B) {
-	refs := luTrace(b)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	b.Run("perRef", func(b *testing.B) {
-		var c trace.Counter
-		sink := trace.WithContext(ctx, trace.PEFilter{PE: 1, Next: &c})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range refs {
-				sink.Ref(refs[j])
-			}
-		}
-		b.ReportMetric(float64(len(refs)), "refs/op")
-	})
-	b.Run("block", func(b *testing.B) {
-		var c trace.BlockCounter
-		sink := trace.WithContext(ctx, trace.PEFilter{PE: 1, Next: &c})
-		blocks := trace.Blocks(refs, trace.DefaultBlockSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, blk := range blocks {
-				trace.Deliver(sink, blk)
-			}
-		}
-		b.ReportMetric(float64(len(refs)), "refs/op")
-	})
-	b.Run("batched", func(b *testing.B) {
-		var c trace.BlockCounter
-		batch := trace.NewBatcher(trace.WithContext(ctx, trace.PEFilter{PE: 1, Next: &c}))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range refs {
-				batch.Ref(refs[j])
-			}
-			batch.Flush()
-		}
-		b.ReportMetric(float64(len(refs)), "refs/op")
-	})
-}
-
-// benchProfilers builds independent stack-distance profilers — the
-// fig6dm shape: one kernel run fanned out to simulators whose
-// per-reference work (Fenwick updates, hash lookups) dwarfs delivery
-// cost, which is exactly when concurrent fan-out pays.
-func benchProfilers(b *testing.B, n int) []trace.Consumer {
-	b.Helper()
-	cs := make([]trace.Consumer, n)
-	for i := range cs {
-		cs[i] = cache.MustStackProfiler(8)
-	}
-	return cs
-}
-
-// BenchmarkFanout compares serial Tee delivery against the sharded
-// Fanout delivery of the captured LU trace into four independent
-// profilers. Simulator construction happens with the timer stopped, so
-// ns/op and B/op measure delivery plus simulation only (the PR2 numbers
-// mixed in per-iteration profiler allocation; the steady-state alloc
-// guarantee itself is pinned by AllocsPerRun guards in internal/trace).
-func BenchmarkFanout(b *testing.B) {
-	refs := luTrace(b)
-	blocks := trace.Blocks(refs, trace.DefaultBlockSize)
-	b.Run("tee", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			tee := trace.Tee(benchProfilers(b, 4))
-			b.StartTimer()
-			for _, blk := range blocks {
-				tee.Refs(blk)
-			}
-		}
-		b.ReportMetric(float64(len(refs)), "refs/op")
-	})
-	b.Run("fanout", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cs := benchProfilers(b, 4)
-			b.StartTimer()
-			fan, err := trace.NewFanout(cs...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, blk := range blocks {
-				fan.Refs(blk)
-			}
-			if err := fan.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(refs)), "refs/op")
-	})
-}
-
 // cgTrace1024 records one CG solve partitioned across 1024 processors,
 // the paper-scale reference stream.
 var cgTraceCache struct {
@@ -286,8 +111,8 @@ func cgTrace1024(b *testing.B) []trace.Ref {
 // curve error against the exact run on the octave grid (restricted to
 // capacities ≥ 32·R lines, the estimator's trusted region — see
 // DESIGN.md §12) alongside the estimator's own 1/sqrt(n) population
-// bound, so the archived BENCH file records both the speedup and the
-// fidelity price at every rate.
+// bound, so one run shows both the speedup and the fidelity price at
+// every rate (BENCH_PR10.json archives such a run).
 func BenchmarkSampledProfiler(b *testing.B) {
 	refs := cgTrace1024(b)
 	var grid []int
@@ -340,104 +165,6 @@ func BenchmarkSampledProfiler(b *testing.B) {
 			b.ReportMetric(float64(p.SampledLines()), "sampledlines")
 		})
 	}
-}
-
-// Kernel micro-benchmarks: raw application throughput, untraced and
-// traced, quantifying the cost of emitting the reference stream.
-
-func BenchmarkLUFactor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := lu.NewBlockMatrix(128, 8, nil)
-		m.FillRandomDominant(1)
-		b.StartTimer()
-		if err := lu.Factor(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLUFactorTraced(b *testing.B) {
-	var sink trace.Counter
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := lu.NewBlockMatrix(128, 8, nil)
-		m.FillRandomDominant(1)
-		b.StartTimer()
-		if _, err := lu.FactorTraced(m, lu.Grid{PR: 2, PC: 2}, &sink); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCGIteration(b *testing.B) {
-	part, err := cg.NewPartition2D(128, 2, 2, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := cg.NewSolver2D(part, nil)
-	rhs := make([]float64, 128*128)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	s.SetB(rhs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(cg.Config{MaxIters: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFFT64K(b *testing.B) {
-	f, err := fft.New(fft.Config{LogN: 16, P: 4, InternalRadix: 8}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]complex128, 1<<16)
-	for i := range x {
-		x[i] = complex(float64(i%31), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.SetInput(x)
-		f.Run()
-	}
-}
-
-func BenchmarkBarnesHutStep(b *testing.B) {
-	bodies := barneshut.Plummer(1024, 1)
-	sim, err := barneshut.NewSimulation(bodies, barneshut.Config{
-		Theta: 1.0, Quadrupole: true, Eps: 0.05, DT: 0.003, P: 4,
-	}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var inter int
-	for i := 0; i < b.N; i++ {
-		st, err := sim.Step()
-		if err != nil {
-			b.Fatal(err)
-		}
-		inter = st.Interactions
-	}
-	b.ReportMetric(float64(inter), "interactions/step")
-}
-
-func BenchmarkVolrendFrame(b *testing.B) {
-	vol := volrend.SyntheticHead(64, 64, 56)
-	ren, err := volrend.NewRenderer(vol, volrend.Config{ImageW: 96, ImageH: 96, P: 4}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var samples int
-	for i := 0; i < b.N; i++ {
-		st, _ := ren.RenderFrame(0.03 * float64(i))
-		samples = st.Samples
-	}
-	b.ReportMetric(float64(samples), "samples/frame")
 }
 
 // Design-choice ablation sweeps (the DESIGN.md section 4 items): each

@@ -59,57 +59,13 @@ func LinesSpanned(addr uint64, size, lineSize uint32) int {
 	return int(last - first + 1)
 }
 
-// AccessResult classifies the outcome of a single cache access.
-type AccessResult uint8
-
-const (
-	// Hit means the line was present.
-	Hit AccessResult = iota
-	// ColdMiss means the line had never been accessed before.
-	ColdMiss
-	// CapacityMiss means the line was evicted for space since its last use.
-	CapacityMiss
-	// CoherenceMiss means the line was invalidated by a remote write since
-	// its last use. These are the paper's "inherent communication" misses:
-	// no cache size removes them.
-	CoherenceMiss
-	// ConflictMiss means the line was evicted by a set conflict (only
-	// set-associative caches report it; fully associative caches fold
-	// conflicts into CapacityMiss by construction).
-	ConflictMiss
-)
-
-// Miss reports whether the result is any kind of miss.
-func (r AccessResult) Miss() bool { return r != Hit }
-
-// String names the result.
-func (r AccessResult) String() string {
-	switch r {
-	case Hit:
-		return "hit"
-	case ColdMiss:
-		return "cold"
-	case CapacityMiss:
-		return "capacity"
-	case CoherenceMiss:
-		return "coherence"
-	case ConflictMiss:
-		return "conflict"
-	}
-	return "unknown"
-}
-
-// Stats accumulates access counts split by read/write and miss class.
+// Stats accumulates access counts split by read/write.
 type Stats struct {
 	Accesses    uint64
 	Reads       uint64
 	Writes      uint64
 	ReadMisses  uint64
 	WriteMisses uint64
-	Cold        uint64
-	Capacity    uint64
-	Coherence   uint64
-	Conflict    uint64
 	// Writebacks counts dirty lines written back to memory on eviction
 	// or invalidation — the write-traffic side of the paper's Section 1
 	// bus-pressure argument (misses are the read side).
@@ -117,30 +73,18 @@ type Stats struct {
 }
 
 // Record folds one access outcome into the stats.
-func (s *Stats) Record(read bool, res AccessResult) {
+func (s *Stats) Record(read, miss bool) {
 	s.Accesses++
 	if read {
 		s.Reads++
+		if miss {
+			s.ReadMisses++
+		}
 	} else {
 		s.Writes++
-	}
-	if !res.Miss() {
-		return
-	}
-	if read {
-		s.ReadMisses++
-	} else {
-		s.WriteMisses++
-	}
-	switch res {
-	case ColdMiss:
-		s.Cold++
-	case CapacityMiss:
-		s.Capacity++
-	case CoherenceMiss:
-		s.Coherence++
-	case ConflictMiss:
-		s.Conflict++
+		if miss {
+			s.WriteMisses++
+		}
 	}
 }
 
@@ -172,20 +116,15 @@ func (s *Stats) Add(other Stats) {
 	s.Writes += other.Writes
 	s.ReadMisses += other.ReadMisses
 	s.WriteMisses += other.WriteMisses
-	s.Cold += other.Cold
-	s.Capacity += other.Capacity
-	s.Coherence += other.Coherence
-	s.Conflict += other.Conflict
 	s.Writebacks += other.Writebacks
 }
 
 // Cache is the interface shared by the concrete simulators.
 type Cache interface {
-	// Access touches one line-aligned address and returns the outcome.
-	// read distinguishes loads from stores for the statistics.
-	Access(addr uint64, read bool) AccessResult
-	// Invalidate removes the line containing addr, if present, and marks
-	// it so the next access is classified as a coherence miss.
+	// Access touches one line-aligned address and reports whether it
+	// missed. read distinguishes loads from stores for the statistics.
+	Access(addr uint64, read bool) (miss bool)
+	// Invalidate removes the line containing addr, if present.
 	Invalidate(addr uint64)
 	// Stats returns the accumulated statistics.
 	Stats() Stats

@@ -13,9 +13,9 @@ import (
 // A hit touches only plain, pointer-free memory: resident lines live in a
 // slot array linked into a recency list by int32 indexes, and an
 // open-addressing index finds a line's slot. An insert allocates no heap
-// node, and the garbage collector never scans either table. The history
-// of seen and invalidated lines is a map, read only on a miss or an
-// invalidation.
+// node, and the garbage collector never scans either table. The cache
+// keeps nothing about lines it no longer holds, so its footprint is
+// fixed by its capacity, however many lines the stream touches.
 type LRU struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
@@ -37,8 +37,6 @@ type LRU struct {
 	// small.
 	index []int32
 	bits  uint
-
-	history history
 
 	stats Stats
 
@@ -75,7 +73,6 @@ func NewLRU(capacityLines int, lineSize uint32) (*LRU, error) {
 		shift:    lineShift(lineSize),
 		capacity: capacityLines,
 		slots:    make([]lruSlot, 1, min(capacityLines, 1<<minIndexBits)+1),
-		history:  make(history),
 	}
 	c.rehash(minIndexBits)
 	return c, nil
@@ -101,16 +98,16 @@ func (c *LRU) CapacityBytes() uint64 {
 // Len reports the number of resident lines.
 func (c *LRU) Len() int { return c.n }
 
-// Access touches the line containing addr and returns the outcome.
+// Access touches the line containing addr and reports whether it missed.
 // Writes mark the line dirty; its eventual eviction or invalidation
 // counts as a writeback.
-func (c *LRU) Access(addr uint64, read bool) AccessResult {
-	res := c.touch(addr>>c.shift, !read)
-	c.stats.Record(read, res)
-	return res
+func (c *LRU) Access(addr uint64, read bool) bool {
+	miss := c.touch(addr>>c.shift, !read)
+	c.stats.Record(read, miss)
+	return miss
 }
 
-func (c *LRU) touch(line uint64, dirty bool) AccessResult {
+func (c *LRU) touch(line uint64, dirty bool) (miss bool) {
 	i := c.probe(line)
 	if s := c.index[i]; s != 0 {
 		if c.slots[0].next != s {
@@ -120,9 +117,8 @@ func (c *LRU) touch(line uint64, dirty bool) AccessResult {
 		if dirty {
 			c.slots[s].dirty = true
 		}
-		return Hit
+		return false
 	}
-	res := c.history.miss(line)
 	// Make room first: the victim is the least recently used line, the
 	// same one inserting first and evicting the overflow would pick.
 	// Either change moves index entries, so line is probed again.
@@ -147,7 +143,7 @@ func (c *LRU) touch(line uint64, dirty bool) AccessResult {
 	c.pushFront(s)
 	c.index[i] = s
 	c.n++
-	return res
+	return true
 }
 
 // home is line's first index position: the top bits of a Fibonacci hash,
@@ -217,15 +213,12 @@ func (c *LRU) unlink(s int32) {
 	c.slots[next].prev = prev
 }
 
-// Invalidate removes the line containing addr, recording that its next
-// access is a coherence miss. Invalidating an absent line still marks it:
-// the remote write communicated fresh data either way.
+// Invalidate removes the line containing addr if it is resident,
+// counting a writeback if it is dirty.
 func (c *LRU) Invalidate(addr uint64) {
-	line := addr >> c.shift
-	if i := c.probe(line); c.index[i] != 0 {
+	if i := c.probe(addr >> c.shift); c.index[i] != 0 {
 		c.remove(i)
 	}
-	c.history.invalidate(line)
 }
 
 // Contains reports whether the line holding addr is resident.
@@ -236,39 +229,8 @@ func (c *LRU) Contains(addr uint64) bool {
 // Stats returns the accumulated statistics.
 func (c *LRU) Stats() Stats { return c.stats }
 
-// ResetStats clears the counters but keeps cache contents and history,
-// implementing the paper's cold-start exclusion.
+// ResetStats clears the counters but keeps cache contents, implementing
+// the paper's cold-start exclusion.
 func (c *LRU) ResetStats() { c.stats = Stats{} }
 
 var _ Cache = (*LRU)(nil)
-
-// history remembers every line a concrete cache has touched: false once
-// seen, true while the line's next access is a coherence miss because a
-// remote write invalidated it. The caches read it only on a miss or an
-// invalidation, never on a hit.
-type history map[uint64]bool
-
-// miss classifies a miss on line and records the line as seen:
-// CoherenceMiss after an invalidation, ColdMiss for a line never touched,
-// and CapacityMiss for one evicted since its last use (SetAssoc splits
-// those into capacity and conflict misses).
-func (h history) miss(line uint64) AccessResult {
-	inv, seen := h[line]
-	switch {
-	case inv:
-		h[line] = false
-		return CoherenceMiss
-	case seen:
-		return CapacityMiss
-	}
-	h[line] = false
-	return ColdMiss
-}
-
-// invalidate marks a seen line so its next access is a coherence miss. A
-// line never touched stays unseen: its first access is cold either way.
-func (h history) invalidate(line uint64) {
-	if _, seen := h[line]; seen {
-		h[line] = true
-	}
-}

@@ -8,12 +8,14 @@ import (
 
 // The concrete caches as they were before they moved to flat,
 // pointer-free tables: a map entry and a heap node per resident line for
-// the LRU, a slice per set for the set-associative cache, and two history
-// maps each. Their simulation code is kept verbatim (types renamed, the
-// unused constructors and accessors dropped) as the oracles
-// TestFlatCachesMatchOracles holds the flat caches to. One rule was added
+// the LRU, and a slice per set for the set-associative cache. Their
+// simulation code is kept verbatim (types renamed, the unused
+// constructors and accessors dropped) as the oracles
+// TestFlatCachesMatchOracles holds the flat caches to. Two rules changed
 // since: the set-associative oracle counts writebacks the way the LRU
-// always has, through a set of dirty resident lines.
+// always has, through a set of dirty resident lines, and both report an
+// access as hit or miss, without the history maps that once labelled
+// each miss cold, capacity, conflict or coherence.
 
 // oracleLRU is an exact fully associative cache with least-recently-used
 // replacement, the measurement instrument of the paper's Section 2.2.
@@ -27,13 +29,6 @@ type oracleLRU struct {
 	table map[uint64]*oracleNode
 	head  *oracleNode // most recently used
 	tail  *oracleNode // least recently used
-
-	// invalidated remembers lines removed by coherence actions so the next
-	// access can be classified as a coherence miss rather than cold.
-	invalidated map[uint64]struct{}
-	// seen remembers every line ever touched, to distinguish cold misses
-	// from capacity misses after eviction.
-	seen map[uint64]struct{}
 
 	stats Stats
 
@@ -59,56 +54,33 @@ func newOracleLRU(capacityLines int, lineSize uint32) (*oracleLRU, error) {
 		return nil, err
 	}
 	return &oracleLRU{
-		lineSize:    lineSize,
-		shift:       lineShift(lineSize),
-		capacity:    capacityLines,
-		table:       make(map[uint64]*oracleNode, capacityLines+1),
-		invalidated: make(map[uint64]struct{}),
-		seen:        make(map[uint64]struct{}),
+		lineSize: lineSize,
+		shift:    lineShift(lineSize),
+		capacity: capacityLines,
+		table:    make(map[uint64]*oracleNode, capacityLines+1),
 	}, nil
 }
 
 // Len reports the number of resident lines.
 func (c *oracleLRU) Len() int { return len(c.table) }
 
-// Access touches the line containing addr and returns the outcome.
+// Access touches the line containing addr and reports whether it missed.
 // Writes mark the line dirty; its eventual eviction or invalidation
 // counts as a writeback.
-func (c *oracleLRU) Access(addr uint64, read bool) AccessResult {
-	res := c.touch(addr>>c.shift, !read)
-	c.stats.Record(read, res)
-	return res
+func (c *oracleLRU) Access(addr uint64, read bool) bool {
+	miss := c.touch(addr>>c.shift, !read)
+	c.stats.Record(read, miss)
+	return miss
 }
 
-func (c *oracleLRU) touch(line uint64, dirty bool) AccessResult {
+func (c *oracleLRU) touch(line uint64, dirty bool) (miss bool) {
 	if n, ok := c.table[line]; ok {
 		c.moveToFront(n)
 		n.dirty = n.dirty || dirty
-		return Hit
-	}
-	var res AccessResult
-	switch {
-	case c.isInvalidated(line):
-		res = CoherenceMiss
-		delete(c.invalidated, line)
-	case c.wasSeen(line):
-		res = CapacityMiss
-	default:
-		res = ColdMiss
-		c.seen[line] = struct{}{}
+		return false
 	}
 	c.insert(line, dirty)
-	return res
-}
-
-func (c *oracleLRU) isInvalidated(line uint64) bool {
-	_, ok := c.invalidated[line]
-	return ok
-}
-
-func (c *oracleLRU) wasSeen(line uint64) bool {
-	_, ok := c.seen[line]
-	return ok
+	return true
 }
 
 func (c *oracleLRU) insert(line uint64, dirty bool) {
@@ -163,16 +135,10 @@ func (c *oracleLRU) unlink(n *oracleNode) {
 	n.prev, n.next = nil, nil
 }
 
-// Invalidate removes the line containing addr, recording that its next
-// access is a coherence miss. Invalidating an absent line still marks it:
-// the remote write communicated fresh data either way.
+// Invalidate removes the line containing addr if it is resident.
 func (c *oracleLRU) Invalidate(addr uint64) {
-	line := addr >> c.shift
-	if n, ok := c.table[line]; ok {
+	if n, ok := c.table[addr>>c.shift]; ok {
 		c.evict(n)
-	}
-	if c.wasSeen(line) {
-		c.invalidated[line] = struct{}{}
 	}
 }
 
@@ -185,8 +151,8 @@ func (c *oracleLRU) Contains(addr uint64) bool {
 // Stats returns the accumulated statistics.
 func (c *oracleLRU) Stats() Stats { return c.stats }
 
-// ResetStats clears the counters but keeps cache contents and history,
-// implementing the paper's cold-start exclusion.
+// ResetStats clears the counters but keeps cache contents, implementing
+// the paper's cold-start exclusion.
 func (c *oracleLRU) ResetStats() { c.stats = Stats{} }
 
 // Instrument attaches a run-scope eviction counter from rec.
@@ -198,20 +164,17 @@ func (c *oracleLRU) Instrument(rec *obs.Recorder) {
 }
 
 // oracleSetAssoc is a set-associative cache with LRU replacement within
-// each set. A re-miss is a capacity miss when the cache is full, and a
-// conflict miss otherwise. A write marks its line dirty, and evicting or
-// invalidating a dirty line counts one writeback.
+// each set. A write marks its line dirty, and evicting or invalidating a
+// dirty line counts one writeback.
 type oracleSetAssoc struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
 	sets     int
 	assoc    int
 
-	ways        [][]oracleWay // per set, LRU-ordered slice, most recent first
-	occupied    int
-	seen        map[uint64]struct{}
-	invalidated map[uint64]struct{}
-	dirty       map[uint64]struct{} // resident lines written since filled
+	ways     [][]oracleWay // per set, LRU-ordered slice, most recent first
+	occupied int
+	dirty    map[uint64]struct{} // resident lines written since filled
 
 	stats Stats
 
@@ -246,14 +209,12 @@ func newOracleSetAssoc(capacityLines, assoc int, lineSize uint32) (*oracleSetAss
 		ways[i] = make([]oracleWay, 0, assoc)
 	}
 	return &oracleSetAssoc{
-		lineSize:    lineSize,
-		shift:       lineShift(lineSize),
-		sets:        sets,
-		assoc:       assoc,
-		ways:        ways,
-		seen:        make(map[uint64]struct{}),
-		invalidated: make(map[uint64]struct{}),
-		dirty:       make(map[uint64]struct{}),
+		lineSize: lineSize,
+		shift:    lineShift(lineSize),
+		sets:     sets,
+		assoc:    assoc,
+		ways:     ways,
+		dirty:    make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -270,18 +231,18 @@ func (c *oracleSetAssoc) setIndex(line uint64) int {
 	return int(line & uint64(c.sets-1))
 }
 
-// Access touches the line containing addr and returns the outcome.
-func (c *oracleSetAssoc) Access(addr uint64, read bool) AccessResult {
+// Access touches the line containing addr and reports whether it missed.
+func (c *oracleSetAssoc) Access(addr uint64, read bool) bool {
 	line := addr >> c.shift
-	res := c.touch(line)
+	miss := c.touch(line)
 	if !read {
 		c.dirty[line] = struct{}{}
 	}
-	c.stats.Record(read, res)
-	return res
+	c.stats.Record(read, miss)
+	return miss
 }
 
-func (c *oracleSetAssoc) touch(line uint64) AccessResult {
+func (c *oracleSetAssoc) touch(line uint64) (miss bool) {
 	si := c.setIndex(line)
 	set := c.ways[si]
 	for i := range set {
@@ -290,25 +251,8 @@ func (c *oracleSetAssoc) touch(line uint64) AccessResult {
 			w := set[i]
 			copy(set[1:i+1], set[:i])
 			set[0] = w
-			return Hit
+			return false
 		}
-	}
-	var res AccessResult
-	if _, inv := c.invalidated[line]; inv {
-		res = CoherenceMiss
-		delete(c.invalidated, line)
-	} else if _, ok := c.seen[line]; ok {
-		// Evicted since last use. If the whole cache was full we call it
-		// capacity; otherwise the set filled while the cache had room, a
-		// pure conflict.
-		if c.occupied >= c.sets*c.assoc {
-			res = CapacityMiss
-		} else {
-			res = ConflictMiss
-		}
-	} else {
-		res = ColdMiss
-		c.seen[line] = struct{}{}
 	}
 	// Insert at LRU position 0, evicting the last way if the set is full.
 	if len(set) < c.assoc {
@@ -321,11 +265,10 @@ func (c *oracleSetAssoc) touch(line uint64) AccessResult {
 	copy(set[1:], set[:len(set)-1])
 	set[0] = oracleWay{line: line, valid: true}
 	c.ways[si] = set
-	return res
+	return true
 }
 
-// Invalidate removes the line containing addr if resident and marks its next
-// access as a coherence miss.
+// Invalidate removes the line containing addr if resident.
 func (c *oracleSetAssoc) Invalidate(addr uint64) {
 	line := addr >> c.shift
 	si := c.setIndex(line)
@@ -339,9 +282,6 @@ func (c *oracleSetAssoc) Invalidate(addr uint64) {
 			c.occupied--
 			break
 		}
-	}
-	if _, ok := c.seen[line]; ok {
-		c.invalidated[line] = struct{}{}
 	}
 }
 

@@ -9,16 +9,13 @@ import (
 // SetAssoc is a set-associative cache with LRU replacement within each set.
 // Assoc=1 gives a direct-mapped cache, which Section 6.4 of the paper uses
 // to show the Barnes-Hut working set needs roughly 3x the fully associative
-// capacity. A re-miss on a line evicted since its last use is a capacity
-// miss when every way of the cache is occupied, and a conflict miss
-// otherwise: its set filled while the cache still had room.
+// capacity.
 //
 // Writebacks follow LRU's rule: a write marks its line dirty, and evicting
 // or invalidating a dirty line counts one writeback.
 //
 // All ways live in one flat slice, so a hit scans and reorders plain
-// memory; the history of seen and invalidated lines is a map, read only on
-// a miss or an invalidation.
+// memory, and the cache keeps nothing about lines it no longer holds.
 type SetAssoc struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
@@ -34,8 +31,6 @@ type SetAssoc struct {
 	dirty    []bool
 	fill     []int32
 	occupied int
-
-	history history
 
 	stats Stats
 
@@ -70,7 +65,6 @@ func NewSetAssoc(capacityLines, assoc int, lineSize uint32) (*SetAssoc, error) {
 		ways:     make([]uint64, capacityLines),
 		dirty:    make([]bool, capacityLines),
 		fill:     make([]int32, sets),
-		history:  make(history),
 	}, nil
 }
 
@@ -118,22 +112,22 @@ func (c *SetAssoc) set(line uint64) (si, base int, ways []uint64) {
 	return si, base, c.ways[base : base+int(c.fill[si])]
 }
 
-// Access touches the line containing addr and returns the outcome.
+// Access touches the line containing addr and reports whether it missed.
 // Writes mark the line dirty; its eventual eviction or invalidation
 // counts as a writeback.
-func (c *SetAssoc) Access(addr uint64, read bool) AccessResult {
-	res := c.touch(addr>>c.shift, !read)
-	c.stats.Record(read, res)
-	return res
+func (c *SetAssoc) Access(addr uint64, read bool) bool {
+	miss := c.touch(addr>>c.shift, !read)
+	c.stats.Record(read, miss)
+	return miss
 }
 
-func (c *SetAssoc) touch(line uint64, write bool) AccessResult {
+func (c *SetAssoc) touch(line uint64, write bool) (miss bool) {
 	si, base, set := c.set(line)
 	for i, l := range set {
 		if l == line {
 			// A read of the most recent way changes nothing.
 			if i == 0 && !write {
-				return Hit
+				return false
 			}
 			// Move to front (LRU position 0). Sets are a few ways wide,
 			// where a loop beats a call to memmove.
@@ -144,12 +138,8 @@ func (c *SetAssoc) touch(line uint64, write bool) AccessResult {
 				dirty[i] = dirty[i-1]
 			}
 			set[0], dirty[0] = line, d
-			return Hit
+			return false
 		}
-	}
-	res := c.history.miss(line)
-	if res == CapacityMiss && c.occupied < c.sets*c.assoc {
-		res = ConflictMiss
 	}
 	// Insert at LRU position 0, evicting the last way if the set is full.
 	dirty := c.dirty[base : base+len(set)]
@@ -168,11 +158,11 @@ func (c *SetAssoc) touch(line uint64, write bool) AccessResult {
 		dirty[i] = dirty[i-1]
 	}
 	set[0], dirty[0] = line, write
-	return res
+	return true
 }
 
 // Invalidate removes the line containing addr if resident, counting a
-// writeback if it is dirty, and marks its next access as a coherence miss.
+// writeback if it is dirty.
 func (c *SetAssoc) Invalidate(addr uint64) {
 	line := addr >> c.shift
 	si, base, set := c.set(line)
@@ -186,10 +176,9 @@ func (c *SetAssoc) Invalidate(addr uint64) {
 			copy(dirty[i:], dirty[i+1:])
 			c.fill[si]--
 			c.occupied--
-			break
+			return
 		}
 	}
-	c.history.invalidate(line)
 }
 
 // Contains reports whether the line holding addr is resident.

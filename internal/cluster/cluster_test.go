@@ -582,66 +582,3 @@ func TestClusterConfigValidation(t *testing.T) {
 		})
 	}
 }
-
-func BenchmarkClusterPeerFetch(b *testing.B) {
-	exp := testExp()
-	scratch, err := store.New(store.Config{Slots: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer scratch.Close(context.Background())
-	opt := core.Options{Scale: core.ScaleQuick, CacheBytes: 4096}
-	res, err := scratch.Get(context.Background(), exp, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sum := sha256.Sum256(res.JSON)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
-		_, _ = w.Write(res.JSON)
-	}))
-	defer srv.Close()
-
-	st, err := store.New(store.Config{Slots: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close(context.Background())
-	// A ring where the httptest member owns everything: self has no
-	// vnodes competition because we pick a key owned by "b" below.
-	cl, err := New(Config{
-		Self:  "a",
-		Peers: map[string]string{"a": "http://unused.invalid", "b": srv.URL},
-		Store: st,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	key := res.Key
-	if owner, _ := cl.Owner(key); owner != "b" {
-		// Walk cache sizes until the benchmark key is remote-owned.
-		for cache := int64(2); ; cache++ {
-			opt = core.Options{Scale: core.ScaleQuick, CacheBytes: uint64(cache) * 4096}
-			if k := store.KeyFor(exp.ID, opt); cl.Ring().Owner(k) == "b" {
-				r2, err := scratch.Get(context.Background(), exp, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, key = r2, r2.Key
-				sum = sha256.Sum256(res.JSON)
-				break
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		r, ok := cl.Fill(ctx, key, exp, opt)
-		cancel()
-		if !ok || r == nil {
-			b.Fatal("warm peer fetch failed")
-		}
-	}
-	b.ReportMetric(float64(len(res.JSON)), "body_bytes")
-}

@@ -168,19 +168,3 @@ func TestRingMovement(t *testing.T) {
 		}
 	})
 }
-
-func BenchmarkClusterRingOwner(b *testing.B) {
-	ids := make([]string, 8)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("node-%d", i)
-	}
-	r, err := NewRing(ids, DefaultVNodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := sampleKeys(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Owner(keys[i%len(keys)])
-	}
-}

@@ -88,7 +88,8 @@ type Stats struct {
 
 // Directory is a full-map, write-invalidate directory over cache lines.
 // It is deliberately protocol-level only: it tracks sharer sets and sends
-// invalidations, leaving miss classification to the per-processor caches.
+// invalidations, leaving miss accounting to the per-processor caches and
+// profilers.
 // Its entries live in a paged line table (internal/linetab), so a
 // transaction costs two slice indexes, not a hash probe and a heap
 // object per line.
@@ -288,7 +289,7 @@ func (d *Directory) invalidate(pe int, addr uint64) {
 
 // Read registers a read of the line containing addr by pe. A dirty copy
 // held elsewhere is downgraded to shared (the data flows through the
-// directory; the reader's own cache classifies the miss).
+// directory; the reader's own cache counts the miss).
 func (d *Directory) Read(pe int, addr uint64) {
 	d.ReadLine(pe, addr>>d.shift)
 }

@@ -305,7 +305,7 @@ func (u *units) access(pe int, addr uint64, read bool) bool {
 		}
 	}
 	if u.caches != nil {
-		return u.caches[pe].Access(addr, read).Miss()
+		return u.caches[pe].Access(addr, read)
 	}
 	if u.profilers == nil {
 		return false

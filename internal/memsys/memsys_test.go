@@ -117,10 +117,12 @@ func TestCoherenceAcrossPEs(t *testing.T) {
 	s := MustNew(Config{PEs: 2, LineSize: 8, CacheCapacity: 64, ProfilePE: -1})
 	s.Ref(trace.Ref{PE: 0, Addr: 0, Size: 8, Kind: trace.Read})
 	s.Ref(trace.Ref{PE: 1, Addr: 0, Size: 8, Kind: trace.Write})
+	if s.Cache(0).(*cache.LRU).Contains(0) {
+		t.Fatal("PE0 still holds line 0 after PE1's write")
+	}
 	s.Ref(trace.Ref{PE: 0, Addr: 0, Size: 8, Kind: trace.Read})
-	cs := s.Cache(0).Stats()
-	if cs.Coherence != 1 {
-		t.Fatalf("PE0 coherence misses = %d, want 1 (stats %+v)", cs.Coherence, cs)
+	if cs := s.Cache(0).Stats(); cs.ReadMisses != 2 {
+		t.Fatalf("PE0 read misses = %d, want 2: the cold read and the re-read (stats %+v)", cs.ReadMisses, cs)
 	}
 }
 

@@ -27,13 +27,13 @@ type sizedCache interface {
 	Publish()
 }
 
-func (c *countedCache) Access(addr uint64, read bool) cache.AccessResult {
+func (c *countedCache) Access(addr uint64, read bool) bool {
 	n := c.Len()
-	res := c.sizedCache.Access(addr, read)
-	if res.Miss() && c.Len() == n {
+	miss := c.sizedCache.Access(addr, read)
+	if miss && c.Len() == n {
 		c.evictions++
 	}
-	return res
+	return miss
 }
 
 // publishStream is a seeded reference stream in blocks of 1 to 700

@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"sync/atomic"
 	"testing"
 
 	"wsstudy/internal/core"
 	"wsstudy/internal/obs"
+	"wsstudy/internal/workingset"
 )
 
 // Schema-revival coverage for the version-2 bump (the optional
@@ -113,4 +116,77 @@ func TestSamplingRoundTripsDisk(t *testing.T) {
 	if string(res2.JSON) != string(res1.JSON) {
 		t.Error("revived JSON differs from the originally persisted rendering")
 	}
+}
+
+// FuzzDecodeResult throws arbitrary bytes at DecodeResult, the schema
+// gate that persisted and peer-filled renderings cross before the store
+// serves them. It must never panic; a result it accepts must render as
+// text, CSV and JSON without error, and that JSON rendering must pass
+// the gate again and render back to the same bytes.
+func FuzzDecodeResult(f *testing.F) {
+	key := KeyFor("fuzz", core.Options{Scale: core.ScaleQuick})
+	rep := &core.Report{
+		Title: "fuzz",
+		Figures: []core.Figure{{
+			Title: "miss rate", XLabel: "cache", YLabel: "misses/ref",
+			Series: []core.Series{{Label: "P=4", Points: []workingset.Point{
+				{CacheBytes: 1024, MissRate: 0.5}, {CacheBytes: 4096, MissRate: 0.01},
+			}}},
+		}},
+		Tables:   []core.Table{{Title: "grain", Header: []string{"P", "KB"}, Rows: [][]string{{"4", "16"}}}},
+		Sampling: &core.Sampling{Rate: 16, SampledLines: 321, ErrorBound: 0.0558},
+		Metrics: &obs.Metrics{
+			Counters:  map[string]uint64{"cache.evictions": 7},
+			Gauges:    map[string]obs.GaugeValue{"store.entries": {Value: 1, Max: 2}},
+			Durations: map[string]obs.DurationStats{"store.compute.wall": {Count: 1, Sum: 5, Min: 5, Max: 5, Buckets: []uint64{1}}},
+			Labels:    map[string]string{"scale": "quick"},
+		},
+	}
+	rep.AddNote("scale=quick")
+	var body bytes.Buffer
+	if err := rep.Render(&body, core.FormatJSON); err != nil {
+		f.Fatal(err)
+	}
+	v1 := bytes.Replace(body.Bytes(), []byte(`"schema_version": 2`), []byte(`"schema_version": 1`), 1)
+	v99 := bytes.Replace(body.Bytes(), []byte(`"schema_version": 2`), []byte(`"schema_version": 99`), 1)
+	if bytes.Equal(v1, body.Bytes()) {
+		f.Fatal(`rendering has no "schema_version": 2 to replace`)
+	}
+	flipped := bytes.Clone(body.Bytes())
+	flipped[len(flipped)/2] ^= 0x40
+	for _, seed := range [][]byte{
+		body.Bytes(), v1, v99, flipped, body.Bytes()[:body.Len()/2],
+		[]byte(`{"schema_version": 2}`), []byte(`{}`), []byte(`null`), nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		res, err := DecodeResult(key, "fuzz", raw)
+		if err != nil {
+			if res != nil {
+				t.Fatalf("rejection returned a result: %v", err)
+			}
+			return
+		}
+		for _, format := range []core.Format{core.FormatText, core.FormatCSV} {
+			if err := res.Report.Render(io.Discard, format); err != nil {
+				t.Fatalf("accepted result fails to render as %s: %v", format, err)
+			}
+		}
+		var js bytes.Buffer
+		if err := res.Report.Render(&js, core.FormatJSON); err != nil {
+			t.Fatalf("accepted result fails to render as JSON: %v", err)
+		}
+		again, err := DecodeResult(key, "fuzz", js.Bytes())
+		if err != nil {
+			t.Fatalf("the JSON rendering of an accepted result is rejected: %v", err)
+		}
+		var js2 bytes.Buffer
+		if err := again.Report.Render(&js2, core.FormatJSON); err != nil {
+			t.Fatalf("revived rendering fails to render as JSON: %v", err)
+		}
+		if !bytes.Equal(js.Bytes(), js2.Bytes()) {
+			t.Fatalf("JSON rendering does not survive a revival:\n%s\n%s", js.Bytes(), js2.Bytes())
+		}
+	})
 }

@@ -1,8 +1,13 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 
+	"wsstudy/internal/core"
 	"wsstudy/internal/obs"
 	"wsstudy/internal/store"
 )
@@ -63,6 +68,63 @@ func TestSpecCanonicalization(t *testing.T) {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}
+}
+
+// FuzzSpecCanonicalize decodes arbitrary request bodies the way the
+// HTTP layer's sweep POST does and canonicalizes the spec. Canonicalize
+// must never panic. A spec it accepts must come back unchanged, with the
+// same ID, from a second Canonicalize; must keep its ID when its axes,
+// and each axis's values, arrive in reverse order; and must enumerate
+// exactly the product of its axis lengths in cells, never more than
+// MaxCells.
+func FuzzSpecCanonicalize(f *testing.F) {
+	for _, seed := range []string{
+		`{"experiment":"gridlu","scale":"quick","axes":[{"field":"pes","values":["64","16"]},{"field":"cache","values":["8192","4096","8192"]}]}`,
+		`{"experiment":"gridbh","axes":[{"field":"cache","values":["4096","016384"]},{"field":"sample","values":["1","16"]},{"field":"scale","values":["full","quick"]}]}`,
+		`{"experiment":"gridlu","axes":[{"field":"line","values":["8","64"]},{"field":"assoc","values":["0","1","4"]},{"field":"problem","values":["0"]}]}`,
+		`{"experiment":"gridlu","axes":[{"field":"cache","values":[]}]}`,
+		`{"experiment":"gridlu","axes":[{"field":"cache","values":["1"]},{"field":"cache","values":["2"]}]}`,
+		`{"experiment":"gridlu","axes":[{"field":"cache","values":["1"]}],"extra":1}`,
+		`{"experiment":"nope","axes":[{"field":"cache","values":["1"]}]}`,
+		`{}`, `null`, `[`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		if spec.Scale == "" {
+			spec.Scale = core.ScaleQuick.String() // as the server fills in its default scale
+		}
+		canon, err := spec.Canonicalize()
+		if err != nil {
+			return
+		}
+		again, err := canon.Canonicalize()
+		if err != nil || !reflect.DeepEqual(again, canon) || again.ID() != canon.ID() {
+			t.Fatalf("canonical spec %+v re-canonicalizes to %+v (err %v)", canon, again, err)
+		}
+		rev := Spec{Experiment: spec.Experiment, Scale: spec.Scale}
+		for _, ax := range slices.Backward(spec.Axes) {
+			vals := slices.Clone(ax.Values)
+			slices.Reverse(vals)
+			rev.Axes = append(rev.Axes, Axis{Field: ax.Field, Values: vals})
+		}
+		if crev, err := rev.Canonicalize(); err != nil || crev.ID() != canon.ID() {
+			t.Fatalf("reversed spec %+v canonicalizes to %+v (err %v), want %+v", rev, crev, err, canon)
+		}
+		want := 1
+		for _, ax := range canon.Axes {
+			want *= len(ax.Values)
+		}
+		if n := len(canon.Cells()); n != want || n > MaxCells {
+			t.Fatalf("spec %+v enumerates %d cells, want %d (at most %d)", canon, n, want, MaxCells)
+		}
+	})
 }
 
 // waitDone polls a sweep until Done (the engine has no blocking wait —
