@@ -1,17 +1,19 @@
 GO ?= go
 
-.PHONY: check build vet bench-vet bench-test fmt-check equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz
+.PHONY: check build vet bench-vet bench-test fmt-check equivalence cost serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke test race fuzz
 
 # Tier-1 gate: everything must build, `go vet ./...` clean, be
 # gofmt-formatted, pass under -race, the batched pipeline must remain
 # bit-identical to the legacy per-Ref path, per-PE cache probes to
 # dedicated per-configuration machines, the paged directory to a naive
 # map-of-sets model, the flat caches to the map-based caches they
-# replaced, the profiler's compaction to its pinned counts, and the
-# largest experiment's report to itself at GOMAXPROCS=1 and 2
-# (short-mode equivalence run),
-# the v1 HTTP server must boot, answer /v1/experiments with valid
-# JSON, and drain (serve-smoke), a parameter-lattice sweep must run
+# replaced, the profiler's compaction to its pinned counts and its
+# occupancy index to a []bool model, and the largest experiment's report
+# to itself at GOMAXPROCS=1 and 2 (short-mode equivalence run), the
+# profiled experiments must do the work and allocate no more than their
+# quick-scale cost table allows (cost), the v1 HTTP server must boot,
+# answer /v1/experiments with valid JSON, and drain (serve-smoke), a
+# parameter-lattice sweep must run
 # end to end over HTTP including its grain advice (sweep-smoke), the
 # seeded chaos schedules must hold their invariants with every
 # failpoint test-covered (chaos-smoke), one full-scale sampled kernel
@@ -21,7 +23,7 @@ GO ?= go
 # against the names it uses (bench-vet), and every benchmark workload
 # must pass its own checks at toy size (bench-test). Performance is
 # recorded by the bench/ ledger alone (`bash bench/run.sh`).
-check: build vet bench-vet bench-test fmt-check race equivalence serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke
+check: build vet bench-vet bench-test fmt-check race equivalence cost serve-smoke sweep-smoke chaos-smoke sample-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -60,12 +62,22 @@ fmt-check:
 # invalidations and a statistics reset, compared after every operation;
 # a one-set SetAssoc is also held to the LRU of its capacity, on every
 # outcome and statistic),
-# and the stack profiler's compaction to the counts of its known phantom
-# slot, which the golden report hashes depend on.
+# the stack profiler's compaction to the counts of its known phantom
+# slot, which the golden report hashes depend on, and the profiler's
+# occupancy index to a []bool model (random adds, removes and range
+# counts at sizes that cross its word, block and superblock edges).
 equivalence:
 	$(GO) test -short -run 'TestBlockEquivalence|TestFanoutMatchesTee|TestMetricsEquivalence|TestShardedDeterminism|TestSamplingEquivalenceRateOne|TestProbesMatchDedicatedMachines' ./internal/core/
-	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot|TestFlatCachesMatchOracles' ./internal/coherence/ ./internal/cache/
+	$(GO) test -short -run 'TestDirectoryMatchesReference|TestCompactionPhantomSlot|TestOccupancyMatchesModel|TestFlatCachesMatchOracles' ./internal/coherence/ ./internal/cache/
 	$(GO) test -short -run 'TestPublicationContract' ./internal/memsys/
+
+# Each profiled experiment (fig2, fig4, fig5, fig6, fig6dm, fig7) runs
+# once at quick scale in a process of its own: its obs work counters must
+# equal internal/core/testdata/cost.json, and its allocated bytes and
+# allocation count may exceed the table by at most 5%. The race target
+# skips this test, because the race runtime changes what a run allocates.
+cost:
+	$(GO) test -count 1 -run '^TestCostTable$$' ./internal/core/
 
 # Boot the real serving path (store + v1 API exactly as `wsstudy serve`
 # wires it), GET /v1/experiments and a report, assert 200 + valid JSON,

@@ -3,8 +3,8 @@ package cache
 import "testing"
 
 // cycleProfiler drives n references over a fixed working set of lines,
-// enough to trigger Fenwick-position compactions when n exceeds the tree
-// size.
+// enough to trigger position compactions when n exceeds the occupancy
+// index's size.
 func cycleProfiler(p *StackProfiler, n, lines int) {
 	for i := 0; i < n; i++ {
 		p.Access(uint64(i%lines)*8, 8, true)
@@ -12,19 +12,18 @@ func cycleProfiler(p *StackProfiler, n, lines int) {
 }
 
 // TestCompactReusesAllocations pins down the steady-state allocation
-// behavior of the profiler: after warm-up (histograms grown, workspace and
-// tree sized), a window of references that includes a full compaction must
-// allocate nothing. Before the reuse of the compaction workspace and the
-// Fenwick tree, every compaction reallocated both — a half-megabyte of
-// garbage per ~64K references.
+// behavior of the profiler: after warm-up (histograms grown, owner slice
+// and occupancy index sized), a window of references that includes a full
+// compaction must allocate nothing: compaction rebuilds the index on its
+// existing storage.
 func TestCompactReusesAllocations(t *testing.T) {
 	p := MustStackProfiler(8)
 	const lines = 1024
 	// Warm up past several compactions so every buffer reaches its
 	// steady-state size.
-	cycleProfiler(p, 3*initialFenwickSize, lines)
+	cycleProfiler(p, 3*initialPositions, lines)
 	avg := testing.AllocsPerRun(5, func() {
-		cycleProfiler(p, initialFenwickSize, lines)
+		cycleProfiler(p, initialPositions, lines)
 	})
 	if avg > 2 {
 		t.Fatalf("steady-state window (with compaction) allocated %.1f times, want <= 2", avg)
@@ -75,7 +74,7 @@ func TestCachesHoldOnlyResidentLines(t *testing.T) {
 func BenchmarkStackProfilerSteadyState(b *testing.B) {
 	p := MustStackProfiler(8)
 	const lines = 1024
-	cycleProfiler(p, 3*initialFenwickSize, lines)
+	cycleProfiler(p, 3*initialPositions, lines)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -231,38 +231,6 @@ func TestSetAssocFullyAssociativeMatchesLRU(t *testing.T) {
 	}
 }
 
-func TestFenwick(t *testing.T) {
-	f := newFenwick(16)
-	f.add(3, 1)
-	f.add(7, 1)
-	f.add(12, 1)
-	if got := f.prefix(16); got != 3 {
-		t.Errorf("prefix(16) = %d, want 3", got)
-	}
-	if got := f.rangeSum(4, 12); got != 2 {
-		t.Errorf("rangeSum(4,12) = %d, want 2", got)
-	}
-	if got := f.rangeSum(8, 3); got != 0 {
-		t.Errorf("inverted range = %d, want 0", got)
-	}
-	f.add(7, -1)
-	if got := f.rangeSum(1, 16); got != 2 {
-		t.Errorf("after removal = %d, want 2", got)
-	}
-	// fill builds the tree compaction leaves behind: positions 1..k set,
-	// on storage reused from a larger tree or grown past it.
-	for _, n := range []int{8, 37, 64} {
-		for k := 0; k <= n; k++ {
-			f.fill(n, k)
-			for i := 0; i <= n; i++ {
-				if got := f.prefix(i); got != min(i, k) {
-					t.Fatalf("fill(%d, %d): prefix(%d) = %d, want %d", n, k, i, got, min(i, k))
-				}
-			}
-		}
-	}
-}
-
 // TestStackProfilerMatchesLRU is the load-bearing correctness property:
 // without invalidations, Mattson's theorem says the single-pass profiler
 // must report exactly the miss counts of independent LRU simulations at

@@ -16,8 +16,9 @@ import (
 // For each access, the profiler computes the reuse (stack) distance: the
 // number of stack positions above and including the line's previous access.
 // An LRU cache of capacity C lines hits exactly when the distance is at most
-// C. Distances are answered in O(log n) with a Fenwick tree over trace
-// positions.
+// C. Every access takes the next trace position, and an occupancy index
+// (one bit per position, see occupancy) counts the occupied positions
+// above the line's previous one, from the top of the stack down.
 //
 // Coherence: Invalidate turns the line's stack position into a *hole*. The
 // hole still occupies a position, and the next miss-insertion consumes the
@@ -46,17 +47,17 @@ type StackProfiler struct {
 	lineSize uint32
 	shift    uint // log2(lineSize)
 
-	// slots holds one entry per line: > 0 is the fenwick position of the
+	// slots holds one entry per line: > 0 is the trace position of the
 	// line's latest access (the line is resident), slotInvalidated marks a
-	// line whose copy was invalidated, and 0 a line never seen. The tree
+	// line whose copy was invalidated, and 0 a line never seen. The index
 	// never holds more than 2·(lines + holes) + 2 positions, so int32
 	// positions cover 2^30 resident lines.
 	slots    linetab.Table[int32]
 	owner    []uint64 // owner[pos] is the line last given position pos; len clock+1
 	resident int      // lines with a position
 	holes    []int    // positions of invalidation holes, sorted ascending
-	fen      *fenwick
-	clock    int // last used fenwick position
+	occ      occupancy
+	clock    int // last used position
 
 	measuring bool
 
@@ -76,8 +77,8 @@ type StackProfiler struct {
 }
 
 const (
-	initialFenwickSize = 1 << 16
-	slotInvalidated    = -1
+	initialPositions = 1 << 16
+	slotInvalidated  = -1
 )
 
 // NewStackProfiler builds a profiler for the given line size (which must be
@@ -87,15 +88,16 @@ func NewStackProfiler(lineSize uint32) (*StackProfiler, error) {
 	if err := validateLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	return &StackProfiler{
+	p := &StackProfiler{
 		lineSize:  lineSize,
 		shift:     lineShift(lineSize),
 		owner:     make([]uint64, 1),
-		fen:       newFenwick(initialFenwickSize),
 		measuring: true,
 		histRead:  make([]uint64, 1),
 		histWrite: make([]uint64, 1),
-	}, nil
+	}
+	p.occ.fill(initialPositions, 0)
+	return p, nil
 }
 
 // MustStackProfiler is NewStackProfiler for statically-valid line sizes; it
@@ -158,11 +160,11 @@ func (p *StackProfiler) touch(line uint64, read bool) bool {
 		// Distance counts every occupied position (lines and holes) from
 		// the line's slot to the top of the stack, inclusive.
 		pos := int(*slot)
-		d := p.fen.rangeSum(pos+1, p.clock) + 1
+		d := p.occ.count(pos, p.clock) + 1
 		if p.measuring {
 			p.recordDistance(d, read)
 		}
-		p.fen.add(pos, -1)
+		p.occ.clear(pos)
 	} else {
 		// Miss at every capacity: classify, then fill the shallowest hole
 		// (the free slot every affected cache has).
@@ -193,29 +195,30 @@ func (p *StackProfiler) consumeHole() {
 	}
 	pos := p.holes[n-1]
 	p.holes = p.holes[:n-1]
-	p.fen.add(pos, -1)
+	p.occ.clear(pos)
 }
 
-// advance gives line the next fenwick position, compacting when full, and
-// returns it.
+// advance gives line the next trace position, compacting when the index
+// is full, and returns it.
 func (p *StackProfiler) advance(line uint64) int {
-	if p.clock >= p.fen.size() {
+	if p.clock >= p.occ.size {
 		p.compact()
 	}
 	p.clock++
 	p.owner = append(p.owner, line)
-	p.fen.add(p.clock, 1)
+	p.occ.set(p.clock)
 	return p.clock
 }
 
 // compact renumbers the occupied positions 1..n (lines and holes),
-// preserving order, and resizes the tree so position space never
-// exhausts. A position is occupied when it is a hole or its owner's slot
-// still points at it, so one walk over owner renumbers the stack in place
-// without a sort; the tree and owner are reused across compactions (an
+// preserving order, and resizes the index to the next power of two of at
+// least 2n+2 positions (2^16 at least), so position space never exhausts.
+// A position is occupied when it is a hole or its owner's slot still
+// points at it, so one walk over owner renumbers the stack in place
+// without a sort; the index and owner are reused across compactions (an
 // AllocsPerRun test pins the reuse down).
 //
-// Phantom slot: a hit frees the line's old position in the tree before
+// Phantom slot: a hit frees the line's old position in the index before
 // advance gives it a new one, and advance may compact in between. The
 // line's slot still names the old position then, so the walk renumbers
 // it as occupied; advance then moves the line on, and the renumbered
@@ -239,11 +242,11 @@ func (p *StackProfiler) compact() {
 			p.owner[n] = line
 		}
 	}
-	size := initialFenwickSize
+	size := initialPositions
 	for size < 2*n+2 {
 		size *= 2
 	}
-	p.fen.fill(size, n)
+	p.occ.fill(size, n)
 	p.owner = p.owner[:n+1]
 	p.clock = n
 }

@@ -303,11 +303,13 @@ feed:
 // runOne executes a single experiment under the shared RetryPolicy:
 // failures DefaultRetryable classifies as transient back off and
 // re-attempt up to opt.Retries extra times.
-func runOne(ctx context.Context, e Experiment, opt SuiteOptions, backoff time.Duration) SuiteResult {
+// res is a named result so that the deferred closure's Elapsed reaches
+// the caller.
+func runOne(ctx context.Context, e Experiment, opt SuiteOptions, backoff time.Duration) (res SuiteResult) {
 	rec := obs.From(ctx)
 	busy := rec.Gauge(obs.WorkersBusy)
 	busy.Add(1)
-	res := SuiteResult{ID: e.ID, Title: e.Title}
+	res = SuiteResult{ID: e.ID, Title: e.Title}
 	start := time.Now()
 	defer func() {
 		res.Elapsed = time.Since(start)

@@ -120,6 +120,24 @@ func TestSuiteGracefulDegradation(t *testing.T) {
 	}
 }
 
+// TestSuiteReportsElapsed pins SuiteResult.Elapsed, which `wsstudy all`
+// prints as "completed in": an experiment that sleeps 50 ms reports at
+// least that.
+func TestSuiteReportsElapsed(t *testing.T) {
+	const nap = 50 * time.Millisecond
+	sleeper := Experiment{
+		ID: "sleeper", Title: "sleeper",
+		Run: func(ctx context.Context, o Options) (*Report, error) {
+			time.Sleep(nap)
+			return &Report{Title: "sleeper"}, nil
+		},
+	}
+	report := RunSuite(context.Background(), []Experiment{sleeper}, SuiteOptions{Workers: 1})
+	if res := report.Results[0]; res.Err != nil || res.Elapsed < nap {
+		t.Fatalf("sleeper: err %v, elapsed %v, want nil and at least %v", res.Err, res.Elapsed, nap)
+	}
+}
+
 func TestSuiteCancellationStopsSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 16)
